@@ -36,10 +36,8 @@ from .parabolic import (
     tail_split,
 )
 from .cosets import (
-    CosetKey,
     ProjectionSet,
     bounded_projection_witness,
-    coset_key,
     coset_length,
     coset_representative,
     fellow_projection_audit,

@@ -3,14 +3,15 @@
 Balls, coset scans and audits all walk graphs whose size is exponential in
 the radius. A Budget caps the total number of visited nodes so a mistyped
 radius fails fast instead of filling memory. The default limit comes from
-the GARSIDE_BUDGET environment variable (10**7 when unset).
+the GARSIDE_BUDGET environment variable (10**7 when unset); a value that is
+not a positive integer is an error.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, GarsideError
 
 DEFAULT_LIMIT = 10**7
 _ENV_VAR = "GARSIDE_BUDGET"
@@ -46,8 +47,10 @@ def default_limit() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_LIMIT
-    return value if value > 0 else DEFAULT_LIMIT
+        value = 0
+    if value <= 0:
+        raise GarsideError(f"{_ENV_VAR} must be a positive integer, got {raw!r}")
+    return value
 
 
 def ensure_budget(budget: Budget | None) -> Budget:

@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
+# Largest total |exponent| an element expression may expand to.
+MAX_EXPRESSION_LETTERS = 10**6
+
 
 def parse_element(table: GarsideTable, text: str) -> Element:
     """Parse the dot-separated expression grammar into an element.
@@ -46,7 +49,7 @@ def parse_element(table: GarsideTable, text: str) -> Element:
     if not text:
         raise StructureError("empty element expression")
     names = {name: i for i, name in enumerate(table.simples)}
-    letters: list[tuple[int, int]] = []
+    factors: list[tuple[int, int]] = []
     for token in text.split("."):
         token = token.strip()
         if not token:
@@ -65,8 +68,13 @@ def parse_element(table: GarsideTable, text: str) -> Element:
                 raise StructureError(f"bad exponent in {token!r}") from None
         else:
             exp = 1
-        sign = 1 if exp >= 0 else -1
-        letters.extend([(sid, sign)] * abs(exp))
+        factors.append((sid, exp))
+    total = sum(abs(exp) for _, exp in factors)
+    if total > MAX_EXPRESSION_LETTERS:
+        raise StructureError(
+            f"expression expands to {total} letters, more than {MAX_EXPRESSION_LETTERS}"
+        )
+    letters = [(sid, 1 if exp >= 0 else -1) for sid, exp in factors for _ in range(abs(exp))]
     return normalize(table, letters)
 
 

@@ -14,11 +14,13 @@ are unbounded.
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, DomainError, StructureError
 from .kernel import (
     Element,
+    GarsideTable,
     conjugate_by_delta,
     delta_power,
     format_element,
@@ -55,16 +57,6 @@ def is_hn_reduced(x: Element, p: ParabolicData) -> bool:
     return power < 0 and not has_left_divisor(a, p.omega)
 
 
-@dataclasses.dataclass(frozen=True)
-class CosetKey:
-    """Canonical label of a right-coset: its reduced representative."""
-
-    rep: Element
-
-    def length(self) -> int:
-        return self.rep.length()
-
-
 def coset_representative(x: Element, p: ParabolicData) -> Element:
     """The reduced representative of the coset H x.
 
@@ -93,10 +85,6 @@ def coset_representative(x: Element, p: ParabolicData) -> Element:
     return theta
 
 
-def coset_key(x: Element, p: ParabolicData) -> CosetKey:
-    return CosetKey(coset_representative(x, p))
-
-
 def coset_length(x: Element, p: ParabolicData) -> int:
     """Minimal word length over the coset H x."""
     return coset_representative(x, p).length()
@@ -105,16 +93,12 @@ def coset_length(x: Element, p: ParabolicData) -> int:
 # -- shortest coset elements and projections ---------------------------------
 
 
-def _subgroup_ball(p: ParabolicData, radius: int, budget: Budget) -> dict[Element, int]:
-    """BFS ball of H with distances, generators the divisors of delta_sub."""
-    t = p.table
-    gens: list[Element] = []
-    for s in p.generator_simples():
-        g = simple(t, s)
-        gens.append(g)
-        gens.append(invert(g))
-    dist = {identity(t): 0}
-    frontier = [identity(t)]
+def _ball(
+    table: GarsideTable, gens: list[Element], radius: int, budget: Budget
+) -> dict[Element, int]:
+    """BFS ball with distances, in discovery order; one budget charge per edge."""
+    dist = {identity(table): 0}
+    frontier = [identity(table)]
     for step in range(1, radius + 1):
         nxt = []
         for x in frontier:
@@ -126,6 +110,11 @@ def _subgroup_ball(p: ParabolicData, radius: int, budget: Budget) -> dict[Elemen
                     nxt.append(y)
         frontier = nxt
     return dist
+
+
+def _signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Element]:
+    """Each simple followed by its inverse: the order of the signed letters."""
+    return [g for s in simples for g in (simple(table, s), invert(simple(table, s)))]
 
 
 def min_set(
@@ -141,8 +130,13 @@ def min_set(
     so scanning the H-ball of radius 2 lg(theta) is complete. A smaller
     explicit bound is refused, a larger one only wastes time.
     """
-    budget = ensure_budget(budget)
-    theta = coset_representative(x, p)
+    return _min_set(coset_representative(x, p), p, search_bound, ensure_budget(budget))
+
+
+def _min_set(
+    theta: Element, p: ParabolicData, search_bound: int | None, budget: Budget
+) -> list[Element]:
+    """`min_set` of the coset whose representative is theta."""
     level = theta.length()
     needed = 2 * level
     if search_bound is None:
@@ -152,13 +146,13 @@ def min_set(
             f"search bound {search_bound} is below the completeness bound {needed}",
             required=needed,
         )
-    members = [
+    gens = _signed_generators(p.table, p.generator_simples())
+    members = {
         cand
-        for beta in _subgroup_ball(p, search_bound, budget)
+        for beta in _ball(p.table, gens, search_bound, budget)
         if (cand := multiply(beta, theta)).length() == level
-    ]
-    members = sorted(set(members), key=Element.sort_key)
-    return members
+    }
+    return sorted(members, key=Element.sort_key)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,13 +175,14 @@ def projection(
     The map gamma -> x gamma^-1 is a bijection from the shortest elements of
     H x onto the projection set, so the sizes must agree; this is asserted.
     """
-    shortest = min_set(x, p, search_bound, budget)
+    theta = coset_representative(x, p)
+    shortest = _min_set(theta, p, search_bound, ensure_budget(budget))
     members = sorted(
         {multiply(x, invert(g)) for g in shortest}, key=Element.sort_key
     )
     if len(members) != len(shortest):
         raise StructureError("projection map failed to be injective")
-    return ProjectionSet(base=x, members=tuple(members), distance=coset_length(x, p))
+    return ProjectionSet(base=x, members=tuple(members), distance=theta.length())
 
 
 def projection_diameter(
@@ -275,28 +270,14 @@ def fellow_projection_audit(
         return got
 
     try:
-        ball: list[Element] = [identity(t)]
-        seen = {identity(t)}
-        frontier = [identity(t)]
-        for _ in range(max_len):
-            nxt = []
-            for xx in frontier:
-                for s, e in letters:
-                    budget.charge()
-                    y = multiply(xx, simple(t, s) if e == 1 else invert(simple(t, s)))
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-                        ball.append(y)
-            frontier = nxt
-        ball.sort(key=Element.sort_key)
+        gens = _signed_generators(t, [s for s in range(t.n_simples) if s != t.unit])
+        ball = sorted(_ball(t, gens, max_len, budget), key=Element.sort_key)
 
         audited: set[tuple[tuple, tuple]] = set()
         for alpha in ball:
             pa = proj(alpha)
-            for letter in letters:
+            for letter, step in zip(letters, gens):
                 s, e = letter
-                step = simple(t, s) if e == 1 else invert(simple(t, s))
                 alpha_u = multiply(alpha, step)
                 pair_key = tuple(
                     sorted((alpha.sort_key(), alpha_u.sort_key()))

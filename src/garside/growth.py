@@ -1,12 +1,13 @@
 """Coset growth coefficients and their exact rational generating function.
 
-The number of accepted words of each length comes from powers of the
-automaton's transition-count matrix, in plain integer arithmetic. The
-generating function is recovered as numerator/denominator with integer
-coefficients by solving for the minimal linear recurrence on a window of
-coefficients (exact rational elimination on the Hankel-style system) and
-then verifying the expansion term by term. No floating point is used
-anywhere in this module.
+e(n), the number of accepted words of length n, comes from powers of the
+acceptor's transition-count matrix in plain integer arithmetic. With r
+reachable states, e(n) = u^T M^n v for an r x r count matrix M, so the
+growth series is P/Q with deg Q <= r and deg P < r. Its linear complexity
+is therefore at most r, and the first 2r coefficients fix the minimal Q
+uniquely; Berlekamp-Massey over the rationals reads Q off those 2r terms.
+By Fatou's lemma P and Q are integral once Q(0) = 1, so no rescaling is
+needed. No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -78,39 +79,6 @@ def poly_trim(p: Sequence[int]) -> Poly:
     return tuple(out)
 
 
-def poly_mul(p: Sequence, q: Sequence) -> list:
-    out = [0] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def poly_divmod_exact(p: Sequence[int], q: Sequence[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Long division over the rationals; exact remainder returned."""
-    num = [Fraction(c) for c in p]
-    den = [Fraction(c) for c in poly_trim(q)]
-    if not den:
-        raise DomainError("division by the zero polynomial")
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1] / den[-1]
-        quot[i] = coef
-        if coef:
-            for j, d in enumerate(den):
-                num[i + j] -= coef * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def poly_divides(q: Sequence[int], p: Sequence[int]) -> bool:
-    """Whether q divides p exactly over the rationals."""
-    _, rem = poly_divmod_exact(p, q)
-    return not rem
-
-
 def format_poly(p: Sequence[int]) -> str:
     terms = []
     for i, c in enumerate(p):
@@ -133,10 +101,12 @@ def format_poly(p: Sequence[int]) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class RationalSeries:
-    """Integer numerator/denominator of the growth series plus its recurrence.
+    """The growth series as numerator/denominator in lowest terms.
 
-    The denominator has constant term 1, the pair is in lowest terms, and
-    e(n) = sum recurrence[i-1] * e(n-i) holds for every n > guard.
+    Both polynomials have integer coefficients and the denominator has
+    constant term 1. `guard` is the degree of the numerator: taking
+    e(m) = 0 for m < 0, e(n) = sum recurrence[i-1] * e(n-i) holds for every
+    n > guard, and for no smaller guard.
     """
 
     numerator: Poly
@@ -164,158 +134,50 @@ class RationalSeries:
         )
 
 
-def _solve_recurrence(seq: Sequence[int], order: int, start: int) -> list[Fraction] | None:
-    """Coefficients c with seq[n] = sum c_i seq[n-i] for n in [start, len).
+def _berlekamp_massey(seq: Sequence[int]) -> list[Fraction]:
+    """Shortest connection polynomial C, C[0] = 1, of seq (Massey 1969).
 
-    Solved by exact rational elimination on the linear system; returns None
-    when the system is inconsistent. Underdetermined systems return one
-    valid solution (free variables pinned to zero).
+    With L the linear complexity of seq, deg C <= L and
+    sum C[i] seq[n-i] = 0 for L <= n < len(seq); C is unique when
+    len(seq) >= 2L.
     """
-    rows = []
-    rhs = []
-    for n in range(start, len(seq)):
-        rows.append([Fraction(seq[n - i]) for i in range(1, order + 1)])
-        rhs.append(Fraction(seq[n]))
-    cols = order
-    aug = [row + [val] for row, val in zip(rows, rhs)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for row, c in zip(aug[:r], pivot_cols):
-        sol[c] = row[cols]
-    return sol
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    length, shift, prev_disc = 0, 1, Fraction(1)
+    for n in range(len(seq)):
+        disc = sum(c * seq[n - i] for i, c in enumerate(conn))
+        if disc:
+            coef = disc / prev_disc
+            new = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+            for i, b in enumerate(prev):
+                new[i + shift] -= coef * b
+            if 2 * length <= n:
+                prev, prev_disc, length, shift = conn, disc, n + 1 - length, 0
+            conn = new
+        shift += 1
+    return conn
 
 
 def rational_series(aut: CosetAutomaton) -> RationalSeries:
-    """Minimal rational form of the growth series, fully verified.
+    """Minimal rational form of the growth series.
 
-    A recurrence of order at most the reachable state count always exists
-    because the coefficients come from matrix powers. Orders are tried from
-    zero upward on a tail window; the first consistent one is normalised to
-    an integer numerator/denominator pair and re-expanded against the true
-    coefficients out to guard + 2*order + 20 before being returned.
+    With r reachable states the series has linear complexity at most r (see
+    the module docstring), so Berlekamp-Massey on e(0..2r-1) returns the
+    lowest-terms denominator Q, and the numerator is (Q * e) mod t^r. The
+    expansion is then compared with e(0..2r+1); a mismatch means the counts
+    broke that bound and raises StructureError.
     """
     r = len(reachable_states(aut))
-    n_max = 3 * r + 6
-    seq = transfer_counts(aut, n_max)
-
-    for order in range(r + 1):
-        sol = _solve_recurrence(seq, order, start=r + 1)
-        if sol is None:
-            continue
-        if any(
-            Fraction(seq[n]) != sum(sol[i - 1] * seq[n - i] for i in range(1, order + 1))
-            for n in range(r + 1, len(seq))
-        ):
-            continue
-
-        # Smallest guard for which the recurrence already holds.
-        guard = r
-        while guard > order - 1 and guard > 0:
-            n = guard
-            if Fraction(seq[n]) == sum(
-                sol[i - 1] * seq[n - i] for i in range(1, order + 1) if n - i >= 0
-            ) and n >= order:
-                guard -= 1
-            else:
-                break
-
-        den_frac = [Fraction(1)] + [-c for c in sol]
-        scale = 1
-        for c in den_frac:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
-        den = [int(c * scale) for c in den_frac]
-        num_full = []
-        for n in range(guard + 1):
-            val = den[0] * seq[n]
-            for i in range(1, min(order, n) + 1):
-                val += den[i] * seq[n - i]
-            num_full.append(val)
-        num = list(poly_trim(num_full))
-
-        content = 0
-        for c in num + den:
-            content = _gcd(content, abs(c))
-        if content > 1:
-            num = [c // content for c in num]
-            den = [c // content for c in den]
-        if den[0] < 0:
-            num = [-c for c in num]
-            den = [-c for c in den]
-        if den[0] != 1:
-            continue  # not the minimal form; try a higher order
-
-        series = RationalSeries(
-            numerator=tuple(num),
-            denominator=tuple(den),
-            recurrence=tuple(-c for c in den[1:]),
-            guard=len(num) - 1 if num else 0,
-        )
-        # Two rational forms with numerator and denominator degrees at most
-        # r that agree to order 2r + 1 are equal, so this check is decisive.
-        check_to = max(2 * r + 2, series.guard + 2 * order + 4, 20)
-        truth = transfer_counts(aut, check_to)
-        if series.expand(check_to) == truth:
-            return series
-    raise StructureError("no linear recurrence found within the state bound")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-# -- characteristic polynomial ----------------------------------------------------
-
-
-def reversed_charpoly(matrix: list[list[int]]) -> Poly:
-    """Coefficients of det(I - t M), ascending in t, exact integers.
-
-    Computed by the Faddeev-LeVerrier recursion over rationals; the result
-    is integral because the input matrix is.
-    """
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    coeffs = [Fraction(1)]  # charpoly det(lambda I - M), leading first
-    aux = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        for i in range(n):
-            aux[i][i] += coeffs[-1]
-        prod = [
-            [sum(m[i][j] * aux[j][l] for j in range(n)) for l in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(prod[i][i] for i in range(n))
-        coeffs.append(-trace / k)
-        aux = prod
-    # charpoly(lambda) = sum coeffs[i] lambda^(n-i); det(I - tM) = t^n charpoly(1/t).
-    rev = [int(c) for c in coeffs]
-    if any(Fraction(x) != c for x, c in zip(rev, coeffs)):
-        raise StructureError("characteristic polynomial was not integral")
-    return poly_trim(rev)
-
-
-def reachable_count_matrix(aut: CosetAutomaton) -> list[list[int]]:
-    states = reachable_states(aut)
-    pos = {s: i for i, s in enumerate(states)}
-    full = _count_matrix(aut)
-    return [[full[s][t] for t in states] for s in states]
+    seq = transfer_counts(aut, 2 * r + 1)
+    den = poly_trim([int(c) for c in _berlekamp_massey(seq[: 2 * r])])
+    num = poly_trim(
+        [sum(den[i] * seq[n - i] for i in range(min(n + 1, len(den)))) for n in range(r)]
+    )
+    series = RationalSeries(
+        numerator=num,
+        denominator=den,
+        recurrence=tuple(-c for c in den[1:]),
+        guard=len(num) - 1 if num else 0,
+    )
+    if series.expand(2 * r + 1) != seq:
+        raise StructureError("rational form disagrees with the transfer counts")
+    return series

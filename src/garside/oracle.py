@@ -16,8 +16,10 @@ for desk-scale radii only.
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .automaton import START, CosetAutomaton
 from .budget import Budget, ensure_budget
 from .errors import DomainError, StructureError
 from .kernel import Element, GarsideTable, SignedLetter, identity, invert, multiply, simple
@@ -473,3 +475,92 @@ def brute_projection(
     dist = min(best.values())
     members = {beta for beta, d in best.items() if d == dist}
     return members, dist
+
+
+# -- growth: Cayley-Hamilton twin of the rational series -------------------------
+
+
+def reachable_count_matrix(aut: CosetAutomaton) -> list[list[int]]:
+    """Transition counts between the states reachable from the start state.
+
+    Entry [i][j] counts the letters taking the i-th reachable state to the
+    j-th, states in ascending order; built straight from `aut.transition`.
+    """
+    k = len(aut.alphabet)
+    rows = [aut.transition[s * k : (s + 1) * k] for s in range(aut.n_states)]
+    seen = {START}
+    stack = [START]
+    while stack:
+        for t in rows[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    states = sorted(seen)
+    return [[rows[s].count(t) for t in states] for s in states]
+
+
+def reversed_charpoly(matrix: list[list[int]]) -> tuple[int, ...]:
+    """Coefficients of det(I - t M), ascending in t, exact integers.
+
+    Computed by the Faddeev-LeVerrier recursion over rationals; the result
+    is integral because the input matrix is. By Cayley-Hamilton it is a
+    denominator of every series u^T (I - tM)^-1 v, so the minimal one
+    divides it.
+    """
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    coeffs = [Fraction(1)]  # charpoly det(lambda I - M), leading first
+    aux = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            aux[i][i] += coeffs[-1]
+        prod = [
+            [sum(m[i][j] * aux[j][l] for j in range(n)) for l in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(prod[i][i] for i in range(n))
+        coeffs.append(-trace / k)
+        aux = prod
+    # charpoly(lambda) = sum coeffs[i] lambda^(n-i); det(I - tM) = t^n charpoly(1/t).
+    rev = [int(c) for c in coeffs]
+    if any(Fraction(x) != c for x, c in zip(rev, coeffs)):
+        raise StructureError("characteristic polynomial was not integral")
+    while rev and rev[-1] == 0:
+        rev.pop()
+    return tuple(rev)
+
+
+def poly_mul(p: Sequence, q: Sequence) -> list:
+    """Product of two coefficient lists, ascending powers."""
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def poly_divmod_exact(p: Sequence[int], q: Sequence[int]) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division over the rationals; exact remainder returned."""
+    num = [Fraction(c) for c in p]
+    den = [Fraction(c) for c in q]
+    while den and den[-1] == 0:
+        den.pop()
+    if not den:
+        raise DomainError("division by the zero polynomial")
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(num) - len(den), -1, -1):
+        coef = num[i + len(den) - 1] / den[-1]
+        quot[i] = coef
+        if coef:
+            for j, d in enumerate(den):
+                num[i + j] -= coef * d
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+def poly_divides(q: Sequence[int], p: Sequence[int]) -> bool:
+    """Whether q divides p exactly over the rationals."""
+    _, rem = poly_divmod_exact(p, q)
+    return not rem

@@ -220,13 +220,3 @@ def positive_in_submonoid(a: Element, p: ParabolicData) -> bool:
         raise DomainError("positive_in_submonoid requires a positive element")
     return all(u in p.div_delta for u in a.positive_factors())
 
-
-def subgroup_length(x: Element, p: ParabolicData) -> int:
-    """Word length of an H-element over the divisors of delta_sub.
-
-    For elements of H this equals the ambient word length: the orthogonal
-    parts lie in N and their greedy factor counts agree in both structures.
-    """
-    if not element_in_subgroup(x, p):
-        raise DomainError("subgroup_length requires an element of H")
-    return x.length()

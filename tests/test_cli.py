@@ -2,7 +2,14 @@
 
 import pytest
 
-from garside.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, main, parse_element
+from garside.cli import (
+    EXIT_BUDGET,
+    EXIT_ERROR,
+    EXIT_OK,
+    MAX_EXPRESSION_LETTERS,
+    main,
+    parse_element,
+)
 from garside.errors import StructureError
 
 
@@ -159,6 +166,25 @@ def test_audit_budget_exit_code(capsys, monkeypatch):
         "audit-fellow", "--max-len", "2",
     )
     assert code == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
+def test_bad_budget_exit_code(capsys, monkeypatch, value):
+    monkeypatch.setenv("GARSIDE_BUDGET", value)
+    code, _, err = run(
+        capsys, "--structure", "braid:3", "--parabolic", "a", "project", "b.a",
+    )
+    assert code == EXIT_ERROR
+    assert "GARSIDE_BUDGET" in err
+
+
+@pytest.mark.parametrize("expr", ["D^1000000000", "a^-600000.b^600000"])
+def test_oversized_expression_exit_code(capsys, b3, expr):
+    with pytest.raises(StructureError):
+        parse_element(b3.table, expr)
+    code, _, err = run(capsys, "--structure", "braid:3", "nf", expr)
+    assert code == EXIT_ERROR
+    assert str(MAX_EXPRESSION_LETTERS) in err
 
 
 def test_unbounded_witness_command(capsys):
