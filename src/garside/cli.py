@@ -16,13 +16,13 @@ from . import kernel as K
 from .automaton import build_automaton, dot_text, transition_table_text
 from .budget import Budget
 from .cosets import (
+    _diameter,
     audit_rows_csv,
     bounded_projection_witness,
     coset_length,
     coset_representative,
     fellow_projection_audit,
     projection,
-    projection_diameter,
 )
 from .errors import BudgetExceededError, GarsideError, StructureError
 from .growth import rational_series, transfer_counts
@@ -257,7 +257,7 @@ def project(obj: Context, expr: str):
     ps = projection(x, p)
     click.echo(f"distance: {ps.distance}")
     click.echo(f"members: {' '.join(K.format_element(m) for m in ps.members)}")
-    click.echo(f"diameter: {projection_diameter(x, p)}")
+    click.echo(f"diameter: {_diameter(ps.members)}")
 
 
 @cli.command("audit-fellow")

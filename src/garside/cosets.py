@@ -192,7 +192,11 @@ def projection_diameter(
     budget: Budget | None = None,
 ) -> int:
     """Largest pairwise distance within the projection of x onto H."""
-    members = projection(x, p, search_bound, budget).members
+    return _diameter(projection(x, p, search_bound, budget).members)
+
+
+def _diameter(members: tuple[Element, ...]) -> int:
+    """Largest pairwise distance within a set of elements."""
     best = 0
     for i, b1 in enumerate(members):
         for b2 in members[i + 1 :]:

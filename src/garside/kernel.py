@@ -14,6 +14,11 @@ fully extracted. Two elements are equal iff their fields coincide, which
 gives O(1) equality and hashing. Tables and elements are immutable after
 construction and every operation is a pure function, so values can be
 shared between threads without locks.
+
+Every normal form comes from one normaliser, `_normalize_factors`, which
+appends one simple at a time and restores greediness with one right-to-left
+sweep of pair transfers (the domino rule; Epstein et al., Word Processing
+in Groups, ch. 9; Dehornoy et al., Foundations of Garside Theory).
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ class GarsideTable:
 
     ``grade`` is an additive length on simples (grade of a product is the
     sum of the grades whenever the product is defined). It exists for every
-    table accepted by the validator and bounds the normalisation loops.
+    table accepted by the validator; joins and the oracles order simples by it.
     """
 
     def __init__(
@@ -284,8 +289,9 @@ class Element:
 
     The body is the left greedy normal sequence of the D-free part: no
     factor is the unit or D, and sigma(u_i) meet u_{i+1} is trivial for all
-    consecutive pairs. Construction checks this, so an Element can always
-    be trusted to be canonical.
+    consecutive pairs. The public constructor checks this, so an Element can
+    always be trusted to be canonical; the kernel builds its own results
+    through `_make`, whose callers produce greedy bodies by construction.
     """
 
     table: GarsideTable
@@ -374,22 +380,31 @@ class Element:
         return f"<{format_element(self)}>"
 
 
+def _make(table: GarsideTable, delta_power: int, body: tuple[int, ...]) -> Element:
+    """An Element whose body is canonical by construction; skips the O(k) check."""
+    x = object.__new__(Element)
+    object.__setattr__(x, "table", table)
+    object.__setattr__(x, "delta_power", delta_power)
+    object.__setattr__(x, "body", body)
+    return x
+
+
 def identity(table: GarsideTable) -> Element:
-    return Element(table, 0, ())
+    return _make(table, 0, ())
 
 
 def delta_power(table: GarsideTable, p: int) -> Element:
-    return Element(table, p, ())
+    return _make(table, p, ())
 
 
 def simple(table: GarsideTable, u: int) -> Element:
     """The positive element given by one simple."""
     table.check_simple(u)
     if u == table.unit:
-        return Element(table, 0, ())
+        return _make(table, 0, ())
     if u == table.delta:
-        return Element(table, 1, ())
-    return Element(table, 0, (u,))
+        return _make(table, 1, ())
+    return _make(table, 0, (u,))
 
 
 # -- normalisation ---------------------------------------------------------
@@ -399,35 +414,49 @@ def _normalize_factors(table: GarsideTable, factors: list[int]) -> tuple[int, tu
     """Left greedy normal form of a product of simples.
 
     Returns (d, body) with product = D^d * body, the body greedy and free of
-    unit and D factors. Works by local head transfers, iterated in passes
-    until stable; each effective transfer moves grade towards the front, so
-    the pass count is bounded by len^2 * grade(D).
+    unit and D factors. Each non-unit factor is appended to a greedy
+    sequence, and one right-to-left sweep of pair transfers makes the
+    sequence greedy again: the pair (u, v) becomes its own greedy form
+    (u x, x\\v) with x = sigma(u) meet v, and the sweep steps one pair left.
+    It stops at the first pair with x = 1, since every pair left of it is
+    unchanged and greedy (the domino rule). A D that forms moves to the
+    front through the same rule, as (u, D) becomes (D, phi^-1(u)). Only the
+    appended factor can become the unit, and it is then dropped: any other
+    v has the old right neighbour of u, which meets sigma(u) trivially, as
+    a left divisor.
+
+    Bound (theorem): appending one simple to a greedy sequence of k factors
+    takes at most k pair transfers, one per pair, so a product of n simples
+    takes at most n(n-1)/2 transfers in all.
     """
+    n = len(table.simples)
     unit = table.unit
     delta = table.delta
-    work = [f for f in factors if f != unit]
-    if work:
-        max_passes = len(work) * len(work) * max(table.grade[delta], 1) + 2
-        for _ in range(max_passes):
-            changed = False
-            for i in range(len(work) - 1):
-                u = work[i]
-                v = work[i + 1]
-                if u == delta or v == unit:
-                    continue
-                x = table.meet_l(table.sigma(u), v)
-                if x != unit:
-                    head = table.product(u, x)
-                    if head is None:
-                        raise StructureError("corrupt table: head product undefined")
-                    work[i] = head
-                    work[i + 1] = table.lquot(x, v)
-                    changed = True
-            if not changed:
+    meet_l = table._meet_l
+    sigma = table._sigma
+    product = table._product
+    lquot = table._lquot
+    work: list[int] = []
+    for f in factors:
+        if f == unit:
+            continue
+        work.append(f)
+        i = len(work) - 2
+        while i >= 0:
+            u = work[i]
+            v = work[i + 1]
+            x = meet_l[sigma[u] * n + v]
+            if x == unit:
                 break
-            work = [f for f in work if f != unit]
-        else:
-            raise StructureError("normalisation did not converge; corrupt table")
+            head = product[u * n + x]
+            rest = lquot[x * n + v]
+            if head < 0 or rest < 0:
+                raise StructureError("corrupt table: pair transfer undefined")
+            work[i] = head
+            work[i + 1] = rest
+            i -= 1
+        if work[-1] == unit:
+            work.pop()
     d = 0
     while d < len(work) and work[d] == delta:
         d += 1
@@ -437,28 +466,24 @@ def _normalize_factors(table: GarsideTable, factors: list[int]) -> tuple[int, tu
 def _from_signed(table: GarsideTable, letters: Iterable[SignedLetter], tail_delta: int = 0) -> Element:
     """Canonical element of letters[0] ... letters[-1] * D^tail_delta.
 
-    Negative letters are rewritten with u^-1 = D^-1 * phi(sigma(u)), then the
-    D powers are commuted to the front with phi twists and the remaining
-    positive sequence is normalised.
+    Negative letters are rewritten with u^-1 = D^-1 * phi(sigma(u)); one
+    right-to-left pass commutes the D powers to the front with phi twists,
+    and the remaining positive sequence is normalised.
     """
     factors: list[int] = []
-    pre: list[int] = []
-    for s, sign in letters:
+    power = tail_delta
+    for s, sign in reversed(list(letters)):
         table.check_simple(s)
         if sign == 1:
-            factors.append(s)
-            pre.append(0)
+            factors.append(table.phi_pow(s, -power))
         elif sign == -1:
-            factors.append(table.phi(table.sigma(s)))
-            pre.append(-1)
+            factors.append(table.phi_pow(table.phi(table.sigma(s)), -power))
+            power -= 1
         else:
             raise StructureError(f"letter sign must be +1 or -1, got {sign!r}")
-    power = tail_delta
-    for i in range(len(factors) - 1, -1, -1):
-        factors[i] = table.phi_pow(factors[i], -power)
-        power += pre[i]
+    factors.reverse()
     d, body = _normalize_factors(table, factors)
-    return Element(table, power + d, body)
+    return _make(table, power + d, body)
 
 
 def normalize(table: GarsideTable, word: Iterable[SignedLetter]) -> Element:
@@ -474,7 +499,7 @@ def multiply(x: Element, y: Element) -> Element:
     factors = [t.phi_pow(u, -q) for u in x.body]
     factors.extend(y.body)
     d, body = _normalize_factors(t, factors)
-    return Element(t, x.delta_power + q + d, body)
+    return _make(t, x.delta_power + q + d, body)
 
 
 def invert(x: Element) -> Element:
@@ -487,7 +512,7 @@ def invert(x: Element) -> Element:
 def conjugate_by_delta(x: Element, k: int = 1) -> Element:
     """phi^k(x) = D^k x D^-k. Preserves greedy bodies factor by factor."""
     t = x.table
-    return Element(t, x.delta_power, tuple(t.phi_pow(u, k) for u in x.body))
+    return _make(t, x.delta_power, tuple(t.phi_pow(u, k) for u in x.body))
 
 
 # -- head meets ------------------------------------------------------------
@@ -588,8 +613,8 @@ def left_orthogonal(x: Element) -> tuple[Element, Element]:
     for i in range(r + 1, q + 1):
         w = body[q - i]
         vs.append(t.sigma_inv(t.phi_pow(w, -i)))
-    b = Element(t, r, tuple(vs))
-    a = Element(t, 0, body[q:]) if k > q else identity(t)
+    b = _make(t, r, tuple(vs))
+    a = _make(t, 0, body[q:]) if k > q else identity(t)
     return b, a
 
 
@@ -601,7 +626,7 @@ def to_reversed(x: Element) -> Element:
     ys = [t.phi_pow(u, p) for u in x.body]
     ys.reverse()
     d, body = _normalize_factors(rt, ys)
-    return Element(rt, p + d, body)
+    return _make(rt, p + d, body)
 
 
 def from_reversed(xr: Element) -> Element:
@@ -612,7 +637,7 @@ def from_reversed(xr: Element) -> Element:
     zs.reverse()
     d, body = _normalize_factors(t, zs)
     q = xr.delta_power
-    return Element(t, d + q, tuple(t.phi_pow(u, -q) for u in body))
+    return _make(t, d + q, tuple(t.phi_pow(u, -q) for u in body))
 
 
 def right_orthogonal(x: Element) -> tuple[Element, Element]:
@@ -634,14 +659,7 @@ def greedy_letters(x: Element) -> tuple[SignedLetter, ...]:
 
 def right_greedy_letters(x: Element) -> tuple[SignedLetter, ...]:
     """Right greedy normal form as signed letters, positive letters first."""
-    xr = to_reversed(x)
-    br, ar = left_orthogonal(xr)
-    neg = list(br.positive_factors())
-    pos = list(ar.positive_factors())
-    letters = [(v, -1) for v in reversed(neg)]
-    letters.extend((u, 1) for u in pos)
-    letters.reverse()
-    return tuple(letters)
+    return greedy_letters(to_reversed(x))[::-1]
 
 
 def view(x: Element, variant: Form) -> NormalFormView:

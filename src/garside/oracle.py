@@ -121,6 +121,23 @@ def key_to_element(table: GarsideTable, key: Key) -> Element:
     return Element(table, key[0], key[1])
 
 
+def is_canonical(x: Element) -> bool:
+    """Whether the fields of x are a canonical form, by table lookups alone.
+
+    The body must be a tuple of proper simples (neither the unit nor D)
+    whose consecutive pairs are left greedy: sigma(u_i) meet u_{i+1} = 1.
+    Kernel results skip the constructor's check, so tests assert this.
+    """
+    t = x.table
+    body = x.body
+    if not (isinstance(x.delta_power, int) and isinstance(body, tuple)):
+        return False
+    for u in body:
+        if not (isinstance(u, int) and 0 <= u < t.n_simples) or u in (t.unit, t.delta):
+            return False
+    return all(t.meet_l(t.sigma(u), v) == t.unit for u, v in zip(body, body[1:]))
+
+
 def element_letters(x: Element) -> list[SignedLetter]:
     """A signed word spelling the canonical form of x."""
     t = x.table

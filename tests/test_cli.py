@@ -111,6 +111,52 @@ def test_project_command(capsys):
     assert "diameter: 1" in out
 
 
+# Full `project` stdout, frozen from the release that computed the diameter
+# with a second projection search.
+PROJECT_PINNED = [
+    ("braid:3", "a", "ba", "distance: 1\nmembers: D^-1.ab 1\ndiameter: 1\n"),
+    ("braid:3", "a", "b.a^-1", "distance: 2\nmembers: D^-1.ab 1\ndiameter: 1\n"),
+    ("braid:3", "a", "a.b.b.a^-1.b^-1", "distance: 3\nmembers: 1 a\ndiameter: 1\n"),
+    ("braid:3", "a", "D^-1.b", "distance: 1\nmembers: 1 a\ndiameter: 1\n"),
+    (
+        "braid:4", "aba", "c.b.c.b",
+        "distance: 2\nmembers: D^-2.bacba.abc D^-2.bacba.abac D^-2.bacba.abacb"
+        " D^-1.abc D^-1.abcb D^-1.abac D^-1.abac.a D^-1.abac.ab D^-1.abcba"
+        " D^-1.abacb 1 b\ndiameter: 3\n",
+    ),
+    (
+        "braid:4", "aba", "b.c",
+        "distance: 1\nmembers: D^-1.abac D^-1.abac.a D^-1.abac.ab D^-1.abacb 1 b"
+        "\ndiameter: 2\n",
+    ),
+    (
+        "braid:4", "aba", "c.a^-1.b",
+        "distance: 1\nmembers: D^-2.bacba.abc D^-2.bacba.abac D^-2.bacba.abacb"
+        " D^-1.abc D^-1.abac D^-1.abacb\ndiameter: 2\n",
+    ),
+    (
+        "braid:4", "aba", "c^-1.b.a.c",
+        "distance: 2\nmembers: D^-1.abacb D^-1.abacb.b D^-1.abacb.ba 1 b a ba ab"
+        " aba\ndiameter: 3\n",
+    ),
+    (
+        "braid:4", "aba", "b.c.b^-1.c",
+        "distance: 3\nmembers: D^-2.bcba.abcba D^-2.bcba.abcba.a D^-2.bcba.abcba.ab"
+        " D^-1.abac D^-1.abac.a D^-1.abac.ab D^-1.abacb D^-1.abacb.b D^-1.abacb.ba"
+        " 1 b a ba ab aba\ndiameter: 4\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("structure,parabolic,expr,want", PROJECT_PINNED)
+def test_project_output_pinned(capsys, structure, parabolic, expr, want):
+    code, out, _ = run(
+        capsys, "--structure", structure, "--parabolic", parabolic, "project", expr
+    )
+    assert code == EXIT_OK
+    assert out == want
+
+
 def test_automaton_files(capsys, tmp_path):
     dot = tmp_path / "a.dot"
     table = tmp_path / "a.txt"

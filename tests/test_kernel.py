@@ -1,12 +1,15 @@
 """Kernel tests: canonical forms, arithmetic, length, views, head meets."""
 
+import functools
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from garside import kernel as K
 from garside import oracle as O
 from garside.errors import DomainError, StructureError
-from garside.structures import build_braid, build_dihedral
+from garside.structures import build_braid, build_dihedral, table_from_descriptor
 
 from conftest import signed_letters, signed_words, positives_up_to
 
@@ -275,3 +278,151 @@ def test_has_left_divisor(b3):
     assert K.has_left_divisor(K.simple(t, b3.ab), b3.a)
     assert not K.has_left_divisor(K.simple(t, b3.ba), b3.a)
     assert K.has_left_divisor(K.delta_power(t, 2), b3.D)
+
+
+# -- long words against the oracle ------------------------------------------------
+#
+# Random words of 40-300 atoms and adversarial families in which one appended
+# simple sets off a long cascade of pair transfers (a D that forms at the tail
+# and travels to the front). Every element the kernel returns is also checked
+# with `O.is_canonical`, since kernel results skip the constructor's check.
+
+LONG_STRUCTURES = ("braid:4", "braid:5", "dihedral:50", "abelian:3")
+# No shrink phase: shrinking a 300-letter word re-runs the oracle hundreds of
+# times (up to a second each), so a failure is reported as drawn.
+long_settings = settings(
+    max_examples=12, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def long_table(descriptor):
+    return table_from_descriptor(descriptor)
+
+
+def atom_word(draw, table, signed, min_len=40, max_len=300):
+    n = draw(st.integers(min_value=min_len, max_value=max_len))
+    atoms = draw(st.lists(st.sampled_from(table.atoms), min_size=n, max_size=n))
+    if not signed:
+        return [(a, 1) for a in atoms]
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return list(zip(atoms, signs))
+
+
+def inverse_word(word):
+    return [(s, -e) for s, e in reversed(word)]
+
+
+def key(x):
+    return x.delta_power, x.body
+
+
+def assert_views_canonical(x):
+    for part in K.left_orthogonal(x) + K.right_orthogonal(x):
+        assert O.is_canonical(part)
+    xr = K.to_reversed(x)
+    assert O.is_canonical(xr)
+    back = K.from_reversed(xr)
+    assert O.is_canonical(back) and back == x
+
+
+@long_settings
+@given(data=st.data())
+def test_long_normalize_agrees_with_oracle(data):
+    t = long_table(data.draw(st.sampled_from(LONG_STRUCTURES)))
+    word = atom_word(data.draw, t, data.draw(st.booleans()))
+    x = K.normalize(t, word)
+    assert O.is_canonical(x)
+    assert key(x) == O.canonical_key(t, word)
+    assert_views_canonical(x)
+
+
+@long_settings
+@given(data=st.data())
+def test_long_multiply_agrees_with_oracle(data):
+    t = long_table(data.draw(st.sampled_from(LONG_STRUCTURES)))
+    signed = data.draw(st.booleans())
+    w1 = atom_word(data.draw, t, signed, 20, 150)
+    w2 = atom_word(data.draw, t, signed, 20, 150)
+    z = K.multiply(K.normalize(t, w1), K.normalize(t, w2))
+    assert O.is_canonical(z)
+    assert key(z) == O.canonical_key(t, w1 + w2)
+    assert_views_canonical(z)
+
+
+@long_settings
+@given(data=st.data())
+def test_long_invert_agrees_with_oracle(data):
+    t = long_table(data.draw(st.sampled_from(LONG_STRUCTURES)))
+    word = atom_word(data.draw, t, data.draw(st.booleans()))
+    y = K.invert(K.normalize(t, word))
+    assert O.is_canonical(y)
+    assert key(y) == O.canonical_key(t, inverse_word(word))
+    assert_views_canonical(y)
+
+
+def spell(table, u):
+    """Atoms whose product is the simple u."""
+    out = []
+    while u != table.unit:
+        a = next(a for a in table.atoms if table.left_divides(a, u))
+        out.append(a)
+        u = table.lquot(a, u)
+    return out
+
+
+def times_delta(x, p):
+    """x * D^p = D^p * phi^-p(x), built by the checking public constructor."""
+    t = x.table
+    return K.Element(t, x.delta_power + p, tuple(t.phi_pow(u, -p) for u in x.body))
+
+
+def check_against_oracle(table, word, want):
+    x = K.normalize(table, word)
+    assert O.is_canonical(x)
+    assert key(x) == O.canonical_key(table, word)
+    assert x == want
+    assert_views_canonical(x)
+    return x
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 40])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_delta_forms_at_tail_and_travels_to_front(b3, m, k):
+    # a^m is greedy, and a.b.a = D, (a.b)^3 = D^2: every D forms at the tail,
+    # behind m body factors, and must travel through all of them to the front.
+    t = b3.table
+    a_m = K.Element(t, 0, (b3.a,) * m)
+    aba = [(b3.a, 1), (b3.b, 1), (b3.a, 1)]
+    ab = [(b3.a, 1), (b3.b, 1)]
+    check_against_oracle(t, [(b3.a, 1)] * m + aba * k, times_delta(a_m, k))
+    check_against_oracle(t, [(b3.a, 1)] * m + ab * (3 * k), times_delta(a_m, 2 * k))
+
+
+@pytest.mark.parametrize("descriptor", LONG_STRUCTURES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_long_greedy_body_then_delta(descriptor, sign):
+    # One appended D crosses the whole body; D^-1 twists every factor.
+    t = long_table(descriptor)
+    rng = random.Random(descriptor)
+    word = [(rng.choice(t.atoms), 1) for _ in range(120)]
+    x = K.normalize(t, word)
+    assert len(x.body) > 10
+    y = check_against_oracle(t, word + [(t.delta, sign)], times_delta(x, sign))
+    assert y == K.multiply(x, K.delta_power(t, sign))
+
+
+@pytest.mark.parametrize("pairs", [1, 4, 12])
+def test_braid4_products_of_delta_complements(pairs):
+    # u.sigma(u) = D for every simple u, spelled in atoms, so the word equals
+    # D^pairs; behind a greedy prefix each D cascades over the whole body.
+    t = long_table("braid:4")
+    rng = random.Random(pairs)
+    prefix = [(rng.choice(t.atoms), 1) for _ in range(30)]
+    word = list(prefix)
+    for _ in range(pairs):
+        u = rng.randrange(t.n_simples)
+        word += [(a, 1) for a in spell(t, u) + spell(t, t.sigma(u))]
+    x = K.normalize(t, prefix)
+    check_against_oracle(t, word, times_delta(x, pairs))
+    check_against_oracle(t, word[len(prefix):], K.delta_power(t, pairs))
