@@ -37,6 +37,9 @@ EXIT_BUDGET = 2
 
 # Largest total |exponent| an element expression may expand to.
 MAX_EXPRESSION_LETTERS = 10**6
+# Largest `growth --max-n`. e(n) <= |alphabet|^n, so for alphabets of up to
+# 10^4 letters every count stays under Python's 4300-digit int-to-str limit.
+MAX_GROWTH_TERMS = 1000
 
 
 def parse_element(table: GarsideTable, text: str) -> Element:
@@ -223,6 +226,8 @@ def _write(path: str, text: str) -> None:
 @click.pass_obj
 def growth(obj: Context, max_n: int, csv_path: str | None):
     """Count reduced representatives by length: one `n,e(n)` row per line."""
+    if max_n > MAX_GROWTH_TERMS:
+        raise StructureError(f"--max-n {max_n} is more than {MAX_GROWTH_TERMS}")
     aut = build_automaton(obj.table, obj.parabolic)
     counts = transfer_counts(aut, max_n)
     lines = "".join(f"{n},{c}\n" for n, c in enumerate(counts))

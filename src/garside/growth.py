@@ -1,18 +1,20 @@
 """Coset growth coefficients and their exact rational generating function.
 
-e(n), the number of accepted words of length n, comes from powers of the
-acceptor's transition-count matrix in plain integer arithmetic. With r
-reachable states, e(n) = u^T M^n v for an r x r count matrix M, so the
-growth series is P/Q with deg Q <= r and deg P < r. Its linear complexity
-is therefore at most r, and the first 2r coefficients fix the minimal Q
-uniquely; Berlekamp-Massey over the rationals reads Q off those 2r terms.
-By Fatou's lemma P and Q are integral once Q(0) = 1, so no rescaling is
-needed. No floating point is used anywhere in this module.
+e(n), the number of accepted words of length n, is counted on the
+coarsest ordinary lumping of the acceptor's live states (reachable, not
+the sink), in plain integer arithmetic with sparse rows. With d lumped
+classes, e(n) = 1_start^T L^n 1 for the d x d lumped count matrix L, so
+the growth series is P/Q with deg Q <= d and deg P < d. Its linear
+complexity is therefore at most d, and the first 2d coefficients fix the
+minimal Q uniquely; Berlekamp-Massey over the rationals reads Q off those
+2d terms. By Fatou's lemma P and Q are integral once Q(0) = 1, so no
+rescaling is needed. No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,48 +25,62 @@ from .errors import DomainError, StructureError
 # -- transfer counts -----------------------------------------------------------
 
 
-def _count_matrix(aut: CosetAutomaton) -> list[list[int]]:
-    n = aut.n_states
-    m = [[0] * n for _ in range(n)]
-    n_letters = len(aut.alphabet)
-    for state in range(n):
-        base = state * n_letters
-        for j in range(n_letters):
-            m[state][aut.transition[base + j]] += 1
-    return m
+def _lumped_rows(aut: CosetAutomaton) -> list[list[tuple[int, int]]]:
+    """Sparse rows of the coarsest ordinary lumping of the live states.
+
+    Live states are those reachable from START other than the sink, which
+    rejects and never leaves, so every live state accepts. The partition
+    starts as one class and is refined until all states of a class have the
+    same multiset of successor classes (Kemeny-Snell); then counting words
+    class by class gives the same totals as state by state. Row c lists
+    (target class, number of letters) for class c; START is in class 0.
+    """
+    k = len(aut.alphabet)
+    trans = aut.transition
+    index = {START: 0}
+    live = [START]
+    for s in live:
+        for t in trans[s * k : (s + 1) * k]:
+            if t != SINK and t not in index:
+                index[t] = len(live)
+                live.append(t)
+    succ = [[index[t] for t in trans[s * k : (s + 1) * k] if t != SINK] for s in live]
+    cls = [0] * len(live)
+    n_cls = 1
+    while True:
+        keys: dict[tuple, int] = {}
+        new = [
+            keys.setdefault((cls[i], tuple(sorted(cls[t] for t in out))), len(keys))
+            for i, out in enumerate(succ)
+        ]
+        if len(keys) == n_cls:
+            break
+        cls, n_cls = new, len(keys)
+    return [list(Counter(cls[t] for t in succ[cls.index(c)]).items()) for c in range(n_cls)]
+
+
+def _count(rows: list[list[tuple[int, int]]], n_max: int) -> list[int]:
+    """e(0..n_max): words from class 0, advanced one length at a time."""
+    vec = [0] * len(rows)
+    vec[0] = 1
+    out = []
+    for _ in range(n_max + 1):
+        out.append(sum(vec))
+        nxt = [0] * len(rows)
+        for c, row in enumerate(rows):
+            v = vec[c]
+            if v:
+                for t, mult in row:
+                    nxt[t] += v * mult
+        vec = nxt
+    return out
 
 
 def transfer_counts(aut: CosetAutomaton, n_max: int) -> list[int]:
     """e(0..n_max): the number of accepted words of each length."""
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
-    m = _count_matrix(aut)
-    n = aut.n_states
-    vec = [0] * n
-    vec[START] = 1
-    out = []
-    for _ in range(n_max + 1):
-        out.append(sum(vec[s] for s in range(n) if s != SINK))
-        vec = [
-            sum(vec[s] * m[s][t] for s in range(n) if vec[s])
-            for t in range(n)
-        ]
-    return out
-
-
-def reachable_states(aut: CosetAutomaton) -> list[int]:
-    seen = {START}
-    stack = [START]
-    n_letters = len(aut.alphabet)
-    while stack:
-        state = stack.pop()
-        base = state * n_letters
-        for j in range(n_letters):
-            t = aut.transition[base + j]
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return sorted(seen)
+    return _count(_lumped_rows(aut), n_max)
 
 
 # -- polynomials over the integers ----------------------------------------------
@@ -160,17 +176,18 @@ def _berlekamp_massey(seq: Sequence[int]) -> list[Fraction]:
 def rational_series(aut: CosetAutomaton) -> RationalSeries:
     """Minimal rational form of the growth series.
 
-    With r reachable states the series has linear complexity at most r (see
-    the module docstring), so Berlekamp-Massey on e(0..2r-1) returns the
-    lowest-terms denominator Q, and the numerator is (Q * e) mod t^r. The
-    expansion is then compared with e(0..2r+1); a mismatch means the counts
-    broke that bound and raises StructureError.
+    With d lumped live classes the series has linear complexity at most d
+    (see the module docstring), so Berlekamp-Massey on e(0..2d-1) returns
+    the lowest-terms denominator Q, and the numerator is (Q * e) mod t^d.
+    The expansion is then compared with e(0..2d+1); a mismatch means the
+    counts broke that bound and raises StructureError.
     """
-    r = len(reachable_states(aut))
-    seq = transfer_counts(aut, 2 * r + 1)
-    den = poly_trim([int(c) for c in _berlekamp_massey(seq[: 2 * r])])
+    rows = _lumped_rows(aut)
+    d = len(rows)
+    seq = _count(rows, 2 * d + 1)
+    den = poly_trim([int(c) for c in _berlekamp_massey(seq[: 2 * d])])
     num = poly_trim(
-        [sum(den[i] * seq[n - i] for i in range(min(n + 1, len(den)))) for n in range(r)]
+        [sum(den[i] * seq[n - i] for i in range(min(n + 1, len(den)))) for n in range(d)]
     )
     series = RationalSeries(
         numerator=num,
@@ -178,6 +195,6 @@ def rational_series(aut: CosetAutomaton) -> RationalSeries:
         recurrence=tuple(-c for c in den[1:]),
         guard=len(num) - 1 if num else 0,
     )
-    if series.expand(2 * r + 1) != seq:
+    if series.expand(2 * d + 1) != seq:
         raise StructureError("rational form disagrees with the transfer counts")
     return series

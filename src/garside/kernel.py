@@ -196,16 +196,18 @@ class GarsideTable:
 
     def phi_pow(self, u: int, k: int) -> int:
         """phi^k(u) with k reduced modulo the order of phi."""
+        return self._phi_perm(k)[u]
+
+    def _phi_perm(self, k: int) -> list[int]:
+        """phi^k as a list indexed by simple, memoised per k mod the order."""
         k %= self.phi_order
-        if k == 0:
-            return u
-        table = self._phi_pow_cache.get(k)
-        if table is None:
-            table = list(range(len(self.simples)))
+        perm = self._phi_pow_cache.get(k)
+        if perm is None:
+            perm = list(range(len(self.simples)))
             for _ in range(k):
-                table = [self._phi[x] for x in table]
-            self._phi_pow_cache[k] = table
-        return table[u]
+                perm = [self._phi[x] for x in perm]
+            self._phi_pow_cache[k] = perm
+        return perm
 
     def join_l(self, u: int, v: int) -> int:
         """Least common upper bound of u, v for <=_L (memoised scan)."""
@@ -470,15 +472,19 @@ def _from_signed(table: GarsideTable, letters: Iterable[SignedLetter], tail_delt
     right-to-left pass commutes the D powers to the front with phi twists,
     and the remaining positive sequence is normalised.
     """
+    phi = table._phi
+    sigma = table._sigma
     factors: list[int] = []
     power = tail_delta
+    twist = table._phi_perm(-power)
     for s, sign in reversed(list(letters)):
         table.check_simple(s)
         if sign == 1:
-            factors.append(table.phi_pow(s, -power))
+            factors.append(twist[s])
         elif sign == -1:
-            factors.append(table.phi_pow(table.phi(table.sigma(s)), -power))
+            factors.append(twist[phi[sigma[s]]])
             power -= 1
+            twist = table._phi_perm(-power)
         else:
             raise StructureError(f"letter sign must be +1 or -1, got {sign!r}")
     factors.reverse()
@@ -496,7 +502,11 @@ def multiply(x: Element, y: Element) -> Element:
         raise StructureError("cannot multiply elements over different tables")
     t = x.table
     q = y.delta_power
-    factors = [t.phi_pow(u, -q) for u in x.body]
+    if q % t.phi_order:
+        twist = t._phi_perm(-q)
+        factors = [twist[u] for u in x.body]
+    else:
+        factors = list(x.body)
     factors.extend(y.body)
     d, body = _normalize_factors(t, factors)
     return _make(t, x.delta_power + q + d, body)
@@ -511,8 +521,8 @@ def invert(x: Element) -> Element:
 
 def conjugate_by_delta(x: Element, k: int = 1) -> Element:
     """phi^k(x) = D^k x D^-k. Preserves greedy bodies factor by factor."""
-    t = x.table
-    return _make(t, x.delta_power, tuple(t.phi_pow(u, k) for u in x.body))
+    twist = x.table._phi_perm(k)
+    return _make(x.table, x.delta_power, tuple(twist[u] for u in x.body))
 
 
 # -- head meets ------------------------------------------------------------
@@ -623,9 +633,8 @@ def to_reversed(x: Element) -> Element:
     t = x.table
     rt = t.reversed()
     p = x.delta_power
-    ys = [t.phi_pow(u, p) for u in x.body]
-    ys.reverse()
-    d, body = _normalize_factors(rt, ys)
+    twist = t._phi_perm(p)
+    d, body = _normalize_factors(rt, [twist[u] for u in reversed(x.body)])
     return _make(rt, p + d, body)
 
 
@@ -637,7 +646,8 @@ def from_reversed(xr: Element) -> Element:
     zs.reverse()
     d, body = _normalize_factors(t, zs)
     q = xr.delta_power
-    return _make(t, d + q, tuple(t.phi_pow(u, -q) for u in body))
+    twist = t._phi_perm(-q)
+    return _make(t, d + q, tuple(twist[u] for u in body))
 
 
 def right_orthogonal(x: Element) -> tuple[Element, Element]:
@@ -669,7 +679,8 @@ def view(x: Element, variant: Form) -> NormalFormView:
         payload: tuple = (x.delta_power, x.body)
     elif variant is Form.RIGHT_DELTA:
         p = x.delta_power
-        payload = (tuple(t.phi_pow(u, p) for u in x.body), p)
+        twist = t._phi_perm(p)
+        payload = (tuple(twist[u] for u in x.body), p)
     elif variant is Form.LEFT_ORTHOGONAL:
         payload = left_orthogonal(x)
     elif variant is Form.RIGHT_ORTHOGONAL:

@@ -494,6 +494,30 @@ def brute_projection(
     return members, dist
 
 
+# -- growth: dense twin of the transfer counts -----------------------------------
+
+
+def dense_transfer_counts(aut: CosetAutomaton, n_max: int) -> list[int]:
+    """e(0..n_max) from the full n x n count matrix of the acceptor.
+
+    Every state, the sink and unreachable ones included, is advanced each
+    term; e(n) sums the accepting states. No lumping, no sparsity.
+    """
+    n = aut.n_states
+    k = len(aut.alphabet)
+    m = [[0] * n for _ in range(n)]
+    for state in range(n):
+        for j in range(k):
+            m[state][aut.transition[state * k + j]] += 1
+    vec = [0] * n
+    vec[START] = 1
+    out = []
+    for _ in range(n_max + 1):
+        out.append(sum(vec[s] for s in range(n) if aut.accepted(s)))
+        vec = [sum(vec[s] * m[s][t] for s in range(n) if vec[s]) for t in range(n)]
+    return out
+
+
 # -- growth: Cayley-Hamilton twin of the rational series -------------------------
 
 

@@ -7,6 +7,7 @@ from garside.cli import (
     EXIT_ERROR,
     EXIT_OK,
     MAX_EXPRESSION_LETTERS,
+    MAX_GROWTH_TERMS,
     main,
     parse_element,
 )
@@ -231,6 +232,23 @@ def test_oversized_expression_exit_code(capsys, b3, expr):
     code, _, err = run(capsys, "--structure", "braid:3", "nf", expr)
     assert code == EXIT_ERROR
     assert str(MAX_EXPRESSION_LETTERS) in err
+
+
+def test_growth_max_n_limit(capsys):
+    # Counts on dihedral:50/s grow like 49^n: at n = 3000 a row has more
+    # digits than Python will convert to text, so the bound must come first.
+    args = ("--structure", "dihedral:50", "--parabolic", "s", "growth", "--max-n")
+    code, out, _ = run(capsys, *args, str(MAX_GROWTH_TERMS))
+    assert code == EXIT_OK
+    rows = out.splitlines()
+    assert len(rows) == MAX_GROWTH_TERMS + 1
+    assert rows[-1].startswith(f"{MAX_GROWTH_TERMS},")
+    for n in (MAX_GROWTH_TERMS + 1, 3000):
+        code, out, err = run(capsys, *args, str(n))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert str(MAX_GROWTH_TERMS) in err
+        assert "Traceback" not in err
 
 
 def test_unbounded_witness_command(capsys):

@@ -1,14 +1,16 @@
 """Transfer counts and the exact rational generating function."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from garside import oracle as O
-from garside.automaton import build_automaton, enumerate_accepted
+from garside.automaton import SINK, START, CosetAutomaton, build_automaton, enumerate_accepted
 from garside.budget import Budget
+from garside.errors import StructureError
 from garside.growth import (
     RationalSeries,
     _berlekamp_massey,
+    _lumped_rows,
     format_poly,
     poly_trim,
     rational_series,
@@ -125,6 +127,103 @@ def test_series_matches_cayley_hamilton_twin(descriptor, name):
     assert O.poly_mul(rs.numerator, qc) == O.poly_mul(pc, rs.denominator)
 
 
+def every_parabolic(descriptor):
+    t = table_from_descriptor(descriptor)
+    for sid in range(t.n_simples):
+        if sid == t.unit:
+            continue
+        try:
+            p = make_parabolic(t, sid)
+        except StructureError:
+            continue
+        yield t.simples[sid], build_automaton(t, p)
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["braid:3", "braid:4"]
+    + [f"dihedral:{m}" for m in range(3, 9)]
+    + [f"abelian:{n}" for n in range(2, 5)],
+)
+def test_transfer_counts_match_dense_twin(descriptor):
+    names = []
+    for name, aut in every_parabolic(descriptor):
+        assert transfer_counts(aut, 30) == O.dense_transfer_counts(aut, 30), name
+        names.append(name)
+    assert "D" in names and len(names) >= 3
+
+
+@pytest.mark.parametrize(
+    "descriptor, name, classes",
+    [
+        ("braid:3", "a", 4),
+        ("dihedral:4", "s", 4),
+        ("braid:4", "a", 8),
+        ("braid:4", "aba", 8),
+        ("braid:5", "a", 12),
+        ("dihedral:50", "s", 4),
+        ("abelian:3", "xy", 2),
+    ],
+)
+def test_lumping_is_coarsest(descriptor, name, classes):
+    # The class counts of the coarsest ordinary lumping; a finer partition
+    # still counts correctly but widens the Berlekamp-Massey window.
+    assert len(_lumped_rows(automaton_of(descriptor, name))) == classes
+
+
+def acceptor(k, transition):
+    """A complete acceptor on k letters over the flat transition table."""
+    alphabet = tuple((j, 1) for j in range(k))
+    return CosetAutomaton(
+        table=None,
+        parabolic=None,
+        alphabet=alphabet,
+        transition=list(transition),
+        letter_index={letter: j for j, letter in enumerate(alphabet)},
+    )
+
+
+@st.composite
+def random_acceptors(draw):
+    # Complete tables with an absorbing sink, a block of states that no live
+    # state reaches (their own rows may point anywhere), and a one-letter
+    # chain START -> 2 -> 3 -> ... whose states split into classes one
+    # refinement round at a time, from the far end of the chain back.
+    k = draw(st.integers(1, 8))
+    n = 2 + k
+    reach = n - draw(st.integers(0, k - 1))
+    chain = draw(st.integers(0, reach - 2))
+    target = st.one_of(st.just(SINK), st.integers(0, n - 1))
+    trans = draw(st.lists(target, min_size=n * k, max_size=n * k))
+    for s in range(reach):
+        row = [SINK] * k if s == SINK else trans[s * k : (s + 1) * k]
+        trans[s * k : (s + 1) * k] = [t if t < reach else SINK for t in row]
+    path = [START] + list(range(2, 2 + chain))
+    for a, b in zip(path, path[1:]):
+        trans[a * k : (a + 1) * k] = [b] + [SINK] * (k - 1)
+    return acceptor(k, trans)
+
+
+def delay_chain():
+    # START -> 2 -> ... -> 7 on the first of six letters, every other move to
+    # the sink: one word of each length up to 6, and six refinement rounds
+    # before the seven chain states are all apart.
+    path = [START, 2, 3, 4, 5, 6, 7]
+    trans = [SINK] * (8 * 6)
+    for a, b in zip(path, path[1:]):
+        trans[a * 6] = b
+    return acceptor(6, trans)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_acceptors())
+@example(delay_chain())
+def test_lumped_counts_match_dense_twin_on_random_tables(aut):
+    dense = O.dense_transfer_counts(aut, 30)
+    assert transfer_counts(aut, 30) == dense
+    assert rational_series(aut).expand(30) == dense
+
+
 def coprime(p, q) -> bool:
     a, b = list(p), list(q)
     while b:
@@ -173,6 +272,8 @@ SERIES_PINS = [
     ('abelian:4', 'x', 'numerator = 1 + 11*t + 11*t^2 + 1*t^3; denominator = 1 - 3*t + 3*t^2 - 1*t^3; recurrence = 3,-3,1; guard = 3'),
     ('abelian:4', 'xy', 'numerator = 1 + 4*t + 1*t^2; denominator = 1 - 2*t + 1*t^2; recurrence = 2,-1; guard = 2'),
     ('abelian:4', 'xyz', 'numerator = 1 + 1*t; denominator = 1 - 1*t; recurrence = 1; guard = 1'),
+    ('dihedral:50', 's', 'numerator = 1 - 49*t^2; denominator = 1 - 98*t + 2401*t^2; recurrence = 98,-2401; guard = 2'),
+    ('braid:5', 'a', 'numerator = 1 + 62*t - 1162*t^2 + 1826*t^3 + 21871*t^4 - 92280*t^5 + 139566*t^6 - 83016*t^7 - 792*t^8 + 19008*t^9 - 5184*t^10; denominator = 1 - 56*t + 1182*t^2 - 12140*t^3 + 68449*t^4 - 225372*t^5 + 447108*t^6 - 535392*t^7 + 373824*t^8 - 138240*t^9 + 20736*t^10; recurrence = 56,-1182,12140,-68449,225372,-447108,535392,-373824,138240,-20736; guard = 10'),
 ]
 
 
