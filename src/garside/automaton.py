@@ -45,9 +45,6 @@ class CosetAutomaton:
     def n_states(self) -> int:
         return 2 + len(self.alphabet)
 
-    def state_of_letter(self, letter: SignedLetter) -> int:
-        return 2 + self.letter_index[letter]
-
     def accepted(self, state: int) -> bool:
         return state != SINK
 

@@ -36,9 +36,6 @@ class Budget:
                 f"raise {_ENV_VAR} to continue"
             )
 
-    def remaining(self) -> int:
-        return max(self.limit - self.used, 0)
-
 
 def default_limit() -> int:
     raw = os.environ.get(_ENV_VAR)

@@ -16,7 +16,6 @@ from . import kernel as K
 from .automaton import build_automaton, dot_text, transition_table_text
 from .budget import Budget
 from .cosets import (
-    _diameter,
     audit_rows_csv,
     bounded_projection_witness,
     coset_length,
@@ -40,6 +39,10 @@ MAX_EXPRESSION_LETTERS = 10**6
 # Largest `growth --max-n`. e(n) <= |alphabet|^n, so for alphabets of up to
 # 10^4 letters every count stays under Python's 4300-digit int-to-str limit.
 MAX_GROWTH_TERMS = 1000
+# Largest `unbounded-witness --k`. The certificate searches an H-ball of
+# radius 2(k + 1) around d_(k+1), which on a rank-one parabolic stays far
+# below the node budget while its time grows like k^3.
+MAX_WITNESS_K = 100
 
 
 def parse_element(table: GarsideTable, text: str) -> Element:
@@ -262,7 +265,7 @@ def project(obj: Context, expr: str):
     ps = projection(x, p)
     click.echo(f"distance: {ps.distance}")
     click.echo(f"members: {' '.join(K.format_element(m) for m in ps.members)}")
-    click.echo(f"diameter: {_diameter(ps.members)}")
+    click.echo(f"diameter: {ps.diameter()}")
 
 
 @cli.command("audit-fellow")
@@ -297,6 +300,8 @@ def audit_fellow(obj: Context, max_len: int, bound: int, csv_path: str | None):
 @click.pass_obj
 def unbounded_witness(obj: Context, k_bound: int):
     """Certificate that no bound K keeps projections of adjacent elements close."""
+    if k_bound > MAX_WITNESS_K:
+        raise StructureError(f"--k {k_bound} is more than {MAX_WITNESS_K}")
     cert = bounded_projection_witness(obj.parabolic, k_bound)
     click.echo(f"element: {K.format_element(cert.element)}")
     click.echo(f"length: {cert.element_length}")

@@ -117,39 +117,23 @@ def _signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Elem
     return [g for s in simples for g in (simple(table, s), invert(simple(table, s)))]
 
 
-def min_set(
-    x: Element,
-    p: ParabolicData,
-    search_bound: int | None = None,
-    budget: Budget | None = None,
-) -> list[Element]:
+def min_set(x: Element, p: ParabolicData, budget: Budget | None = None) -> list[Element]:
     """All shortest elements of the coset H x, sorted canonically.
 
     Every shortest element is beta * theta with theta the representative and
     beta in H; then lg(beta) <= lg(beta theta) + lg(theta^-1) = 2 lg(theta),
-    so scanning the H-ball of radius 2 lg(theta) is complete. A smaller
-    explicit bound is refused, a larger one only wastes time.
+    so scanning the H-ball of radius 2 lg(theta) is complete.
     """
-    return _min_set(coset_representative(x, p), p, search_bound, ensure_budget(budget))
+    return _min_set(coset_representative(x, p), p, ensure_budget(budget))
 
 
-def _min_set(
-    theta: Element, p: ParabolicData, search_bound: int | None, budget: Budget
-) -> list[Element]:
+def _min_set(theta: Element, p: ParabolicData, budget: Budget) -> list[Element]:
     """`min_set` of the coset whose representative is theta."""
     level = theta.length()
-    needed = 2 * level
-    if search_bound is None:
-        search_bound = needed
-    if search_bound < needed:
-        raise BudgetExceededError(
-            f"search bound {search_bound} is below the completeness bound {needed}",
-            required=needed,
-        )
     gens = _signed_generators(p.table, p.generator_simples())
     members = {
         cand
-        for beta in _ball(p.table, gens, search_bound, budget)
+        for beta in _ball(p.table, gens, 2 * level, budget)
         if (cand := multiply(beta, theta)).length() == level
     }
     return sorted(members, key=Element.sort_key)
@@ -163,20 +147,23 @@ class ProjectionSet:
     members: tuple[Element, ...]
     distance: int
 
+    def diameter(self) -> int:
+        """Largest pairwise distance within the members."""
+        best = 0
+        for i, b1 in enumerate(self.members):
+            for b2 in self.members[i + 1 :]:
+                best = max(best, multiply(invert(b1), b2).length())
+        return best
 
-def projection(
-    x: Element,
-    p: ParabolicData,
-    search_bound: int | None = None,
-    budget: Budget | None = None,
-) -> ProjectionSet:
+
+def projection(x: Element, p: ParabolicData, budget: Budget | None = None) -> ProjectionSet:
     """Projection of x onto H: x * gamma^-1 over the shortest coset elements.
 
     The map gamma -> x gamma^-1 is a bijection from the shortest elements of
     H x onto the projection set, so the sizes must agree; this is asserted.
     """
     theta = coset_representative(x, p)
-    shortest = _min_set(theta, p, search_bound, ensure_budget(budget))
+    shortest = _min_set(theta, p, ensure_budget(budget))
     members = sorted(
         {multiply(x, invert(g)) for g in shortest}, key=Element.sort_key
     )
@@ -185,23 +172,9 @@ def projection(
     return ProjectionSet(base=x, members=tuple(members), distance=theta.length())
 
 
-def projection_diameter(
-    x: Element,
-    p: ParabolicData,
-    search_bound: int | None = None,
-    budget: Budget | None = None,
-) -> int:
+def projection_diameter(x: Element, p: ParabolicData, budget: Budget | None = None) -> int:
     """Largest pairwise distance within the projection of x onto H."""
-    return _diameter(projection(x, p, search_bound, budget).members)
-
-
-def _diameter(members: tuple[Element, ...]) -> int:
-    """Largest pairwise distance within a set of elements."""
-    best = 0
-    for i, b1 in enumerate(members):
-        for b2 in members[i + 1 :]:
-            best = max(best, multiply(invert(b1), b2).length())
-    return best
+    return projection(x, p, budget).diameter()
 
 
 # -- fellow projection audit --------------------------------------------------
@@ -257,7 +230,9 @@ def fellow_projection_audit(
     """
     budget = ensure_budget(budget)
     t = p.table
-    letters = [(s, e) for s in range(t.n_simples) if s != t.unit for e in (1, -1)]
+    simples = [s for s in range(t.n_simples) if s != t.unit]
+    letters = [(s, e) for s in simples for e in (1, -1)]
+    steps = list(zip(letters, _signed_generators(t, simples)))
 
     rows: list[AuditRow] = []
     k_obs = 0
@@ -269,45 +244,37 @@ def fellow_projection_audit(
     def proj(alpha: Element) -> tuple[Element, ...]:
         got = proj_cache.get(alpha)
         if got is None:
-            got = projection(alpha, p, budget=budget).members
+            got = projection(alpha, p, budget).members
             proj_cache[alpha] = got
         return got
 
     try:
-        gens = _signed_generators(t, [s for s in range(t.n_simples) if s != t.unit])
-        ball = sorted(_ball(t, gens, max_len, budget), key=Element.sort_key)
-
-        audited: set[tuple[tuple, tuple]] = set()
-        for alpha in ball:
+        ball = _ball(t, [g for _, g in steps], max_len, budget)
+        audited: set[frozenset[Element]] = set()
+        for alpha in sorted(ball, key=Element.sort_key):
             pa = proj(alpha)
-            for letter, step in zip(letters, gens):
-                s, e = letter
+            for (s, e), step in steps:
                 alpha_u = multiply(alpha, step)
-                pair_key = tuple(
-                    sorted((alpha.sort_key(), alpha_u.sort_key()))
-                )
-                if pair_key in audited:
+                edge = frozenset((alpha, alpha_u))
+                if edge in audited:
                     continue
-                audited.add(pair_key)
+                audited.add(edge)
                 pb = proj(alpha_u)
-                back = (s, -e)
-                for base, letter_used, src, dst in (
-                    (alpha, letter, pa, pb),
-                    (alpha_u, back, pb, pa),
+                for base, letter, src, dst in (
+                    (alpha, (s, e), pa, pb),
+                    (alpha_u, (s, -e), pb, pa),
                 ):
                     for beta in src:
                         budget.charge()
-                        best_d = None
-                        best_partner = None
-                        for beta2 in dst:
-                            d = multiply(invert(beta), beta2).length()
-                            if best_d is None or d < best_d:
-                                best_d = d
-                                best_partner = beta2
-                        row = AuditRow(base, letter_used, beta, best_partner, best_d)
+                        inv = invert(beta)
+                        distance, partner = min(
+                            ((multiply(inv, b2).length(), b2) for b2 in dst),
+                            key=lambda pair: pair[0],
+                        )
+                        row = AuditRow(base, letter, beta, partner, distance)
                         rows.append(row)
-                        if best_d > k_obs:
-                            k_obs = best_d
+                        if distance > k_obs:
+                            k_obs = distance
                             witness = row
     except BudgetExceededError:
         partial = True

@@ -14,12 +14,4 @@ class DomainError(GarsideError):
 
 
 class BudgetExceededError(GarsideError):
-    """An enumeration exceeded its node budget.
-
-    The optional ``required`` attribute carries a hint (for example the
-    search radius that would be needed) when the caller can retry.
-    """
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
+    """An enumeration ran out of its node budget (CLI exit code 2)."""

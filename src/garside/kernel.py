@@ -153,15 +153,6 @@ class GarsideTable:
             )
         return v
 
-    def rquot(self, v: int, w: int) -> int:
-        """The u with u*v = w; requires v <=_R w."""
-        u = self._rquot[v * len(self.simples) + w]
-        if u < 0:
-            raise StructureError(
-                f"{self.simples[v]} does not right-divide {self.simples[w]}"
-            )
-        return u
-
     def sigma(self, u: int) -> int:
         return self._sigma[u]
 
@@ -170,9 +161,6 @@ class GarsideTable:
 
     def phi(self, u: int) -> int:
         return self._phi[u]
-
-    def phi_inv(self, u: int) -> int:
-        return self._phi_inv[u]
 
     @property
     def phi_order(self) -> int:
@@ -329,11 +317,6 @@ class Element:
     @property
     def is_identity(self) -> bool:
         return self.delta_power == 0 and not self.body
-
-    @property
-    def is_positive(self) -> bool:
-        """Whether the element lies in the positive monoid."""
-        return self.delta_power >= 0
 
     def length(self) -> int:
         """Word length over the symmetric generating set of simples.

@@ -23,6 +23,7 @@ from .automaton import START, CosetAutomaton
 from .budget import Budget, ensure_budget
 from .errors import DomainError, StructureError
 from .kernel import Element, GarsideTable, SignedLetter, identity, invert, multiply, simple
+from .parabolic import ParabolicData
 
 Key = tuple[int, tuple[int, ...]]
 
@@ -173,35 +174,19 @@ class BallIndex:
             raise DomainError("element outside the computed ball") from None
 
 
-def generators(table: GarsideTable) -> list[Element]:
-    """The symmetric generating set: every non-trivial simple, both signs."""
-    gens = []
-    for s in range(table.n_simples):
-        if s == table.unit:
-            continue
-        g = simple(table, s)
-        gens.append(g)
-        gens.append(invert(g))
-    return gens
+def signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Element]:
+    """Each non-unit simple of the list, in order, followed by its inverse."""
+    return [
+        g
+        for s in simples
+        if s != table.unit
+        for g in (simple(table, s), invert(simple(table, s)))
+    ]
 
 
 def bfs_lengths(table: GarsideTable, radius: int, budget: Budget | None = None) -> BallIndex:
     """Distances from the identity in the Cayley graph, out to the radius."""
-    budget = ensure_budget(budget)
-    gens = generators(table)
-    dist: dict[Element, int] = {identity(table): 0}
-    frontier = [identity(table)]
-    for step in range(1, radius + 1):
-        nxt: list[Element] = []
-        for x in frontier:
-            for g in gens:
-                budget.charge()
-                y = multiply(x, g)
-                if y not in dist:
-                    dist[y] = step
-                    nxt.append(y)
-        frontier = nxt
-    return BallIndex(table, radius, dist)
+    return BallIndex(table, radius, subgroup_ball(table, range(table.n_simples), radius, budget))
 
 
 def subgroup_ball(
@@ -212,13 +197,7 @@ def subgroup_ball(
 ) -> dict[Element, int]:
     """BFS distances inside the subgroup generated by the given simples."""
     budget = ensure_budget(budget)
-    gens = []
-    for s in gen_simples:
-        if s == table.unit:
-            continue
-        g = simple(table, s)
-        gens.append(g)
-        gens.append(invert(g))
+    gens = signed_generators(table, gen_simples)
     dist: dict[Element, int] = {identity(table): 0}
     frontier = [identity(table)]
     for step in range(1, radius + 1):
@@ -355,6 +334,22 @@ def brute_tail(x: Element, div_delta: Iterable[int], budget: Budget | None = Non
     return best
 
 
+# -- parabolic helpers ---------------------------------------------------------
+
+
+def conjugate_by_delta_sub(p: ParabolicData, x: Element, k: int = 1) -> Element:
+    """delta_sub^k * x * delta_sub^-k, for elements of H."""
+    d = p.delta_element() ** k
+    return multiply(multiply(d, x), invert(d))
+
+
+def positive_in_submonoid(a: Element, p: ParabolicData) -> bool:
+    """Whether a positive element lies in N (all greedy factors divide delta_sub)."""
+    if a.delta_power < 0:
+        raise DomainError("positive_in_submonoid requires a positive element")
+    return all(u in p.div_delta for u in a.positive_factors())
+
+
 # -- coset partitions --------------------------------------------------------
 
 
@@ -419,11 +414,7 @@ def brute_coset_partition(
         if ri != rj:
             parent[rj] = ri
 
-    gens = []
-    for s in gen_ids:
-        g = simple(table, s)
-        gens.append(g)
-        gens.append(invert(g))
+    gens = signed_generators(table, gen_ids)
 
     contact = [False] * len(elements)
     for x, i in index.items():
@@ -482,9 +473,7 @@ def brute_projection(
     formula, which is validated against BFS separately.
     """
     budget = ensure_budget(budget)
-    t = x.table
-    gen_ids = [s for s in div_delta if s != t.unit]
-    h_ball = subgroup_ball(t, gen_ids, radius, budget)
+    h_ball = subgroup_ball(x.table, div_delta, radius, budget)
     best: dict[Element, int] = {}
     for beta in h_ball:
         budget.charge()

@@ -60,9 +60,6 @@ class ParabolicData:
     def delta_element(self) -> Element:
         return simple(self.table, self.delta_sub)
 
-    def omega_element(self) -> Element:
-        return simple(self.table, self.omega)
-
     def __repr__(self):
         return f"ParabolicData(delta={self.table.display(self.delta_sub)})"
 
@@ -188,12 +185,6 @@ def d_k(p: ParabolicData, k: int) -> Element:
     return out
 
 
-def conjugate_by_delta_sub(p: ParabolicData, x: Element, k: int = 1) -> Element:
-    """delta_sub^k * x * delta_sub^-k, for elements of H."""
-    d = p.delta_element() ** k
-    return multiply(multiply(d, x), invert(d))
-
-
 # -- membership ---------------------------------------------------------------
 
 
@@ -212,11 +203,4 @@ def element_in_subgroup(x: Element, p: ParabolicData) -> bool:
             if u not in p.div_delta:
                 return False
     return True
-
-
-def positive_in_submonoid(a: Element, p: ParabolicData) -> bool:
-    """Whether a positive element lies in N (all greedy factors divide delta_sub)."""
-    if a.delta_power < 0:
-        raise DomainError("positive_in_submonoid requires a positive element")
-    return all(u in p.div_delta for u in a.positive_factors())
 

@@ -23,6 +23,8 @@ from .kernel import GarsideTable
 
 BRAID_ATOM_LETTERS = "abcdef"
 ABELIAN_ATOM_LETTERS = ["x", "y", "z", "w"]
+# `validate_table` stops after this many violations.
+MAX_VIOLATIONS = 20
 
 
 # -- generic completion ----------------------------------------------------
@@ -381,7 +383,7 @@ def save_table(table: GarsideTable) -> str:
 # -- validation ------------------------------------------------------------
 
 
-def validate_table(table: GarsideTable, max_violations: int = 20) -> list[str]:
+def validate_table(table: GarsideTable) -> list[str]:
     """Check the lattice axioms; an empty list means the table is valid.
 
     Verifies the unit laws, partial associativity, divisibility of every
@@ -397,7 +399,7 @@ def validate_table(table: GarsideTable, max_violations: int = 20) -> list[str]:
 
     def report(msg: str) -> bool:
         out.append(msg)
-        return len(out) >= max_violations
+        return len(out) >= MAX_VIOLATIONS
 
     # Unit laws.
     for u in range(n):

@@ -36,11 +36,11 @@ def _signed_words(table, max_len):
         yield from itertools.product(letters, repeat=length)
 
 
-def run_verification(level: str = "quick", budget: Budget | None = None) -> list[CheckResult]:
+def run_verification(level: str = "quick") -> list[CheckResult]:
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
     full = level == "full"
-    budget = budget if budget is not None else Budget()
+    budget = Budget()
     results: list[CheckResult] = []
 
     def check(name: str, fn: Callable[[], str]) -> None:

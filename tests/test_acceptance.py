@@ -172,7 +172,7 @@ def test_criterion_8_structural_sweeps(b3, b3_parabolic, b3_ball4):
     with criterion(8, 120, "structural property sweeps, exhaustive over small ranges"):
         t, p = b3.table, b3_parabolic
         budget = Budget(10**7)
-        omega_el = p.omega_element()
+        omega_el = K.simple(t, p.omega)
 
         n_ball = sorted(
             O.subgroup_ball(t, p.generator_simples(), 2, budget),

@@ -1,0 +1,56 @@
+"""Module boundaries: no private cross-module imports, a resolvable `__all__`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import garside
+
+PACKAGE_DIR = Path(garside.__file__).parent
+MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+
+
+def imported_private_names(path):
+    """(line, module, name) for each `_`-prefixed name imported from garside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        inside = node.level > 0 or (node.module or "").split(".")[0] == "garside"
+        if not inside:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                out.append((node.lineno, node.module, alias.name))
+    return out
+
+
+def test_modules_found():
+    assert {"kernel.py", "cosets.py", "oracle.py", "cli.py"} <= {m.name for m in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert imported_private_names(path) == []
+
+
+def test_private_import_is_detected(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .cosets import _ball, projection\n"
+        "def f():\n"
+        "    from garside.kernel import _make\n"
+        "from os import _exit\n"
+    )
+    assert imported_private_names(probe) == [
+        (1, "cosets", "_ball"),
+        (3, "garside.kernel", "_make"),
+    ]
+
+
+def test_all_names_resolve():
+    assert garside.__all__
+    for name in garside.__all__:
+        assert hasattr(garside, name), name

@@ -1,5 +1,7 @@
 """End-to-end command line tests via the real entry point."""
 
+import hashlib
+
 import pytest
 
 from garside.cli import (
@@ -8,6 +10,7 @@ from garside.cli import (
     EXIT_OK,
     MAX_EXPRESSION_LETTERS,
     MAX_GROWTH_TERMS,
+    MAX_WITNESS_K,
     main,
     parse_element,
 )
@@ -215,6 +218,60 @@ def test_audit_budget_exit_code(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
+# `audit-fellow --csv` output, frozen from the release that kept the letters
+# and generators in two lists and compared sorted key pairs: exit code, the
+# stdout lines before `wrote`, and the SHA-256 of the CSV. A budget (None
+# for the default) that runs out mid-audit pins the partial rows too.
+AUDIT_PINNED = [
+    ("braid:3", "a", 1, None, EXIT_OK,
+     "fellow-projection audit: K_obs = 1 (bound 5), 316 rows, PASS\n"
+     "witness: alpha=D^-1 u=b beta=D^-1.ab partner=1 distance=1\n",
+     "5bb08834a7ede39dc43c2c5dad565fb4738323e0416922383fcf675905c85cfc"),
+    ("braid:3", "a", 2, None, EXIT_OK,
+     "fellow-projection audit: K_obs = 1 (bound 5), 1386 rows, PASS\n"
+     "witness: alpha=D^-3.ba u=b beta=a partner=1 distance=1\n",
+     "aa49a2661d062553be5f48002a178eaea47311b30c1d2a684493597fd6f7dbf8"),
+    ("dihedral:4", "s", 2, None, EXIT_OK,
+     "fellow-projection audit: K_obs = 1 (bound 5), 3666 rows, PASS\n"
+     "witness: alpha=D^-2 u=s beta=D^-2.tst.tst partner=D^-1.tst distance=1\n",
+     "739882f210c3cce86aa79d8fe35299536d2cbdd7a80d2a9e29ad994bb0b30e3e"),
+    ("abelian:2", "x", 2, None, EXIT_OK,
+     "fellow-projection audit: K_obs = 1 (bound 5), 324 rows, PASS\n"
+     "witness: alpha=D^-2 u=x beta=D^-2.y.y partner=D^-1.y distance=1\n",
+     "a23de3f1771c50b46005014eaa5708ca65abaf30e18a14992258e94755e30176"),
+    ("braid:3", "a", 2, 40, EXIT_BUDGET,
+     "fellow-projection audit: K_obs = 0 (bound 5), 0 rows, PARTIAL\n",
+     "b79f32916eb4442fbcdfe93802d2643ad13f71ef654087f122aaee4922e46b79"),
+    ("braid:3", "a", 2, 300, EXIT_BUDGET,
+     "fellow-projection audit: K_obs = 1 (bound 5), 48 rows, PARTIAL\n"
+     "witness: alpha=D^-3.ba u=b beta=a partner=1 distance=1\n",
+     "59839d4ffbd5102d14f76737c68559f7c5fc5222828b79f1b4b36ef9fa121b7b"),
+    ("braid:3", "a", 2, 2000, EXIT_BUDGET,
+     "fellow-projection audit: K_obs = 1 (bound 5), 679 rows, PARTIAL\n"
+     "witness: alpha=D^-3.ba u=b beta=a partner=1 distance=1\n",
+     "84442e85ba4cc4dafb3104f3e5621cd3c1a354c1672d441ad6eb6a916b324650"),
+]
+
+
+@pytest.mark.parametrize("structure,parabolic,radius,budget,code,head,digest", AUDIT_PINNED)
+def test_audit_csv_pinned(
+    capsys, monkeypatch, tmp_path, structure, parabolic, radius, budget, code, head, digest
+):
+    if budget is None:
+        monkeypatch.delenv("GARSIDE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("GARSIDE_BUDGET", str(budget))
+    csv = tmp_path / "rows.csv"
+    got, out, _ = run(
+        capsys,
+        "--structure", structure, "--parabolic", parabolic,
+        "audit-fellow", "--max-len", str(radius), "--csv", str(csv),
+    )
+    assert got == code
+    assert out == head + f"wrote {csv}\n"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5", ""])
 def test_bad_budget_exit_code(capsys, monkeypatch, value):
     monkeypatch.setenv("GARSIDE_BUDGET", value)
@@ -265,6 +322,19 @@ def test_unbounded_witness_command(capsys):
         "unbounded-witness", "--k", "2",
     )
     assert code == EXIT_ERROR
+
+
+def test_unbounded_witness_k_limit(capsys):
+    args = ("--structure", "braid:3", "--parabolic", "a", "unbounded-witness", "--k")
+    code, out, _ = run(capsys, *args, str(MAX_WITNESS_K))
+    assert code == EXIT_OK
+    assert f"spread: {MAX_WITNESS_K + 1} > {MAX_WITNESS_K}" in out
+    assert "verified: yes" in out
+    code, out, err = run(capsys, *args, str(MAX_WITNESS_K + 1))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert str(MAX_WITNESS_K) in err
+    assert "Traceback" not in err
 
 
 def test_verify_quick(capsys):

@@ -16,7 +16,7 @@ from garside.cosets import (
     projection_diameter,
     right_delta_positive_part,
 )
-from garside.errors import BudgetExceededError, DomainError
+from garside.errors import DomainError
 from garside.parabolic import d_k, make_parabolic
 
 from conftest import positives_up_to
@@ -147,21 +147,20 @@ def test_min_set_depends_only_on_coset(b3, b3_parabolic):
     assert min_set(K.delta_power(t, 1), p) == min_set(K.simple(t, b3.ba), p)
 
 
-def test_min_set_bound_refusal(b3, b3_parabolic):
-    with pytest.raises(BudgetExceededError) as info:
-        min_set(d_k(b3_parabolic, 2), b3_parabolic, search_bound=1)
-    assert info.value.required == 4
-
-
 def test_min_set_bound_saturation(b3, b3_parabolic, b3_ball4):
-    # Enlarging the search bound beyond 2 * length never adds members.
+    # The H-ball of radius 2 * length finds every shortest element: a wider
+    # scan of beta * x over H finds the same set. A shortest gamma = beta x
+    # has lg(beta) <= lg(gamma) + lg(x) <= length + 2, inside the scan.
     p = b3_parabolic
     for x, d in b3_ball4.dist.items():
         if d > 2:
             continue
-        base = min_set(x, p)
-        wider = min_set(x, p, search_bound=2 * coset_length(x, p) + 2)
-        assert base == wider
+        radius = 2 * coset_length(x, p) + 2
+        h_ball = O.subgroup_ball(b3.table, p.div_sorted, radius)
+        coset = [K.multiply(beta, x) for beta in h_ball]
+        level = min(y.length() for y in coset)
+        shortest = {y for y in coset if y.length() == level}
+        assert min_set(x, p) == sorted(shortest, key=K.Element.sort_key)
 
 
 def test_projection_examples(b3, b3_parabolic):
