@@ -8,7 +8,8 @@ its coset; `coset_representative` computes the representative
 constructively. On top of that sit the metric operations: the set of
 shortest elements of a coset, the projection of an element onto H, its
 diameter, the fellow-projection audit and the certificate that projections
-are unbounded.
+are unbounded. Membership needs no search: proj(x) = {h in H : lg(h^-1 x) =
+lg(Hx)}, because h^-1 x runs over Hx as h runs over H.
 """
 
 from __future__ import annotations
@@ -228,6 +229,8 @@ def fellow_projection_audit(
     The worst distance observed and its witness are reported. If the node
     budget runs out the report is returned flagged as partial.
     """
+    if max_len < 0:
+        raise DomainError("the audit radius must be at least 0")
     budget = ensure_budget(budget)
     t = p.table
     simples = [s for s in range(t.n_simples) if s != t.unit]
@@ -337,10 +340,11 @@ def bounded_projection_witness(
 ) -> UnboundedProjectionCertificate:
     """Certificate that K-bounded projections fail, for K = k_bound.
 
-    Uses the element d = w_1 ... w_(K+1): both the identity and
-    delta_sub^-(K+1) lie in its projection, and those two are K+1 > K apart.
-    The improper parabolic is refused (its complement is trivial and every
-    d_k collapses to the identity).
+    Uses d = w_1 ... w_(K+1), whose projection holds 1 and delta_sub^-(K+1),
+    which are K+1 > K apart. Membership is proj(x) = {h in H : lg(h^-1 x) =
+    lg(Hx)} (h^-1 x runs over Hx as h runs over H), so nothing is searched
+    and `budget` is never charged. The improper parabolic is refused: its
+    complement is trivial, so every d_k is the identity.
     """
     if p.improper:
         raise DomainError(
@@ -348,20 +352,21 @@ def bounded_projection_witness(
         )
     if k_bound < 1:
         raise DomainError("the bound must be at least 1")
-    budget = ensure_budget(budget)
     k = k_bound + 1
     d = d_k(p, k)
-    proj = projection(d, p, budget=budget)
-    one = identity(p.table)
+    level = coset_length(d, p)
     delta_neg = p.delta_element() ** (-k)
-    spread = multiply(invert(one), delta_neg).length()
+    has_one, has_delta_neg = (
+        element_in_subgroup(y, p) and multiply(invert(y), d).length() == level
+        for y in (identity(p.table), delta_neg)
+    )
     cert = UnboundedProjectionCertificate(
         k=k,
         element=d,
-        contains_identity=one in proj.members,
-        contains_delta_neg=delta_neg in proj.members,
+        contains_identity=has_one,
+        contains_delta_neg=has_delta_neg,
         element_length=d.length(),
-        spread=spread,
+        spread=delta_neg.length(),
     )
     if not cert.verified:
         raise StructureError("unbounded-projection certificate failed verification")

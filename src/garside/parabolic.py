@@ -38,7 +38,6 @@ class ParabolicData:
     delta_sub: int
     div_delta: frozenset[int]
     omega: int
-    phi_sub: dict[int, int]
     improper: bool
 
     def __hash__(self):
@@ -69,8 +68,8 @@ def make_parabolic(table: GarsideTable, delta_sub: int) -> ParabolicData:
 
     Rejects the trivial choice (the unit), unbalanced simples and divisor
     sets that are not closed under the simple product. Conjugation by
-    delta_sub must permute the divisors; anything else means the table or
-    the choice is corrupt.
+    delta_sub must permute the non-unit divisors; anything else means the
+    table or the choice is corrupt.
     """
     table.check_simple(delta_sub)
     if delta_sub == table.unit:
@@ -98,12 +97,9 @@ def make_parabolic(table: GarsideTable, delta_sub: int) -> ParabolicData:
 
     d_elt = simple(table, delta_sub)
     d_inv = invert(d_elt)
-    phi_sub: dict[int, int] = {}
-    for u in sorted(div):
+    images: set[int] = set()
+    for u in sorted(div - {table.unit}):
         conj = multiply(multiply(d_elt, simple(table, u)), d_inv)
-        if conj.is_identity:
-            phi_sub[u] = table.unit
-            continue
         if conj.delta_power == 0 and len(conj.body) == 1:
             image = conj.body[0]
         elif conj.delta_power == 1 and not conj.body:
@@ -116,8 +112,8 @@ def make_parabolic(table: GarsideTable, delta_sub: int) -> ParabolicData:
             raise StructureError(
                 f"parabolic: conjugation does not preserve the divisors at {table.display(u)}"
             )
-        phi_sub[u] = image
-    if sorted(phi_sub.values()) != sorted(div):
+        images.add(image)
+    if len(images) != len(div) - 1:
         raise StructureError("parabolic: conjugation is not a bijection of the divisors")
 
     return ParabolicData(
@@ -125,7 +121,6 @@ def make_parabolic(table: GarsideTable, delta_sub: int) -> ParabolicData:
         delta_sub=delta_sub,
         div_delta=frozenset(div),
         omega=omega,
-        phi_sub=phi_sub,
         improper=delta_sub == table.delta,
     )
 

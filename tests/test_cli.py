@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from garside.cli import (
     EXIT_BUDGET,
@@ -218,6 +219,18 @@ def test_audit_budget_exit_code(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
+def test_audit_negative_radius_exit_code(capsys):
+    code, out, err = run(
+        capsys,
+        "--structure", "braid:3", "--parabolic", "a",
+        "audit-fellow", "--max-len", "-3",
+    )
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "radius" in err
+    assert "Traceback" not in err
+
+
 # `audit-fellow --csv` output, frozen from the release that kept the letters
 # and generators in two lists and compared sorted key pairs: exit code, the
 # stdout lines before `wrote`, and the SHA-256 of the CSV. A budget (None
@@ -325,16 +338,97 @@ def test_unbounded_witness_command(capsys):
 
 
 def test_unbounded_witness_k_limit(capsys):
-    args = ("--structure", "braid:3", "--parabolic", "a", "unbounded-witness", "--k")
-    code, out, _ = run(capsys, *args, str(MAX_WITNESS_K))
+    # braid:4/aba has a rank-two parabolic, where a ball search for the
+    # projection would run for minutes at the largest k.
+    for structure, parabolic in (("braid:3", "a"), ("braid:4", "aba")):
+        args = ("--structure", structure, "--parabolic", parabolic, "unbounded-witness", "--k")
+        code, out, _ = run(capsys, *args, str(MAX_WITNESS_K))
+        assert code == EXIT_OK
+        assert f"spread: {MAX_WITNESS_K + 1} > {MAX_WITNESS_K}" in out
+        assert "verified: yes" in out
+        code, out, err = run(capsys, *args, str(MAX_WITNESS_K + 1))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert str(MAX_WITNESS_K) in err
+        assert "Traceback" not in err
+
+
+# stdout of `unbounded-witness --k K`, recorded when the certificate still
+# searched the H-ball of radius 2(K + 1) for the projection of d_(K+1).
+WITNESS_PINNED = [
+    ("braid:3", "a", 1, "element: ba.ab\nlength: 2\nprojection contains 1: True\nprojection contains delta^-2: True\nspread: 2 > 1\nverified: yes\n"),
+    ("braid:3", "a", 2, "element: ba.ab.ba\nlength: 3\nprojection contains 1: True\nprojection contains delta^-3: True\nspread: 3 > 2\nverified: yes\n"),
+    ("braid:3", "a", 3, "element: ba.ab.ba.ab\nlength: 4\nprojection contains 1: True\nprojection contains delta^-4: True\nspread: 4 > 3\nverified: yes\n"),
+    ("braid:3", "a", 4, "element: ba.ab.ba.ab.ba\nlength: 5\nprojection contains 1: True\nprojection contains delta^-5: True\nspread: 5 > 4\nverified: yes\n"),
+    ("braid:3", "a", 5, "element: ba.ab.ba.ab.ba.ab\nlength: 6\nprojection contains 1: True\nprojection contains delta^-6: True\nspread: 6 > 5\nverified: yes\n"),
+    ("braid:3", "a", 6, "element: ba.ab.ba.ab.ba.ab.ba\nlength: 7\nprojection contains 1: True\nprojection contains delta^-7: True\nspread: 7 > 6\nverified: yes\n"),
+    ("braid:3", "a", 7, "element: ba.ab.ba.ab.ba.ab.ba.ab\nlength: 8\nprojection contains 1: True\nprojection contains delta^-8: True\nspread: 8 > 7\nverified: yes\n"),
+    ("braid:3", "a", 8, "element: ba.ab.ba.ab.ba.ab.ba.ab.ba\nlength: 9\nprojection contains 1: True\nprojection contains delta^-9: True\nspread: 9 > 8\nverified: yes\n"),
+    ("dihedral:4", "s", 1, "element: tst.tst\nlength: 2\nprojection contains 1: True\nprojection contains delta^-2: True\nspread: 2 > 1\nverified: yes\n"),
+    ("dihedral:4", "s", 2, "element: tst.tst.tst\nlength: 3\nprojection contains 1: True\nprojection contains delta^-3: True\nspread: 3 > 2\nverified: yes\n"),
+    ("dihedral:4", "s", 3, "element: tst.tst.tst.tst\nlength: 4\nprojection contains 1: True\nprojection contains delta^-4: True\nspread: 4 > 3\nverified: yes\n"),
+    ("dihedral:4", "s", 4, "element: tst.tst.tst.tst.tst\nlength: 5\nprojection contains 1: True\nprojection contains delta^-5: True\nspread: 5 > 4\nverified: yes\n"),
+    ("dihedral:4", "s", 5, "element: tst.tst.tst.tst.tst.tst\nlength: 6\nprojection contains 1: True\nprojection contains delta^-6: True\nspread: 6 > 5\nverified: yes\n"),
+    ("dihedral:4", "s", 6, "element: tst.tst.tst.tst.tst.tst.tst\nlength: 7\nprojection contains 1: True\nprojection contains delta^-7: True\nspread: 7 > 6\nverified: yes\n"),
+    ("dihedral:4", "s", 7, "element: tst.tst.tst.tst.tst.tst.tst.tst\nlength: 8\nprojection contains 1: True\nprojection contains delta^-8: True\nspread: 8 > 7\nverified: yes\n"),
+    ("dihedral:4", "s", 8, "element: tst.tst.tst.tst.tst.tst.tst.tst.tst\nlength: 9\nprojection contains 1: True\nprojection contains delta^-9: True\nspread: 9 > 8\nverified: yes\n"),
+    ("braid:5", "a", 1, "element: bacbadcba.abacbadcb\nlength: 2\nprojection contains 1: True\nprojection contains delta^-2: True\nspread: 2 > 1\nverified: yes\n"),
+    ("braid:5", "a", 2, "element: bacbadcba.abacbadcb.bacbadcba\nlength: 3\nprojection contains 1: True\nprojection contains delta^-3: True\nspread: 3 > 2\nverified: yes\n"),
+    ("braid:5", "a", 3, "element: bacbadcba.abacbadcb.bacbadcba.abacbadcb\nlength: 4\nprojection contains 1: True\nprojection contains delta^-4: True\nspread: 4 > 3\nverified: yes\n"),
+    ("braid:5", "a", 4, "element: bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba\nlength: 5\nprojection contains 1: True\nprojection contains delta^-5: True\nspread: 5 > 4\nverified: yes\n"),
+    ("braid:5", "a", 5, "element: bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba.abacbadcb\nlength: 6\nprojection contains 1: True\nprojection contains delta^-6: True\nspread: 6 > 5\nverified: yes\n"),
+    ("braid:5", "a", 6, "element: bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba\nlength: 7\nprojection contains 1: True\nprojection contains delta^-7: True\nspread: 7 > 6\nverified: yes\n"),
+    ("braid:5", "a", 7, "element: bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba.abacbadcb\nlength: 8\nprojection contains 1: True\nprojection contains delta^-8: True\nspread: 8 > 7\nverified: yes\n"),
+    ("braid:5", "a", 8, "element: bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba.abacbadcb.bacbadcba\nlength: 9\nprojection contains 1: True\nprojection contains delta^-9: True\nspread: 9 > 8\nverified: yes\n"),
+    ("braid:4", "aba", 1, "element: cba.abc\nlength: 2\nprojection contains 1: True\nprojection contains delta^-2: True\nspread: 2 > 1\nverified: yes\n"),
+    ("braid:4", "aba", 2, "element: cba.abc.cba\nlength: 3\nprojection contains 1: True\nprojection contains delta^-3: True\nspread: 3 > 2\nverified: yes\n"),
+    ("braid:4", "aba", 3, "element: cba.abc.cba.abc\nlength: 4\nprojection contains 1: True\nprojection contains delta^-4: True\nspread: 4 > 3\nverified: yes\n"),
+    ("braid:4", "aba", 4, "element: cba.abc.cba.abc.cba\nlength: 5\nprojection contains 1: True\nprojection contains delta^-5: True\nspread: 5 > 4\nverified: yes\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "structure, parabolic, k, want",
+    WITNESS_PINNED,
+    ids=[f"{s}-{p}-{k}" for s, p, k, _ in WITNESS_PINNED],
+)
+def test_unbounded_witness_output_pinned(capsys, structure, parabolic, k, want):
+    code, out, err = run(
+        capsys,
+        "--structure", structure, "--parabolic", parabolic,
+        "unbounded-witness", "--k", str(k),
+    )
     assert code == EXIT_OK
-    assert f"spread: {MAX_WITNESS_K + 1} > {MAX_WITNESS_K}" in out
-    assert "verified: yes" in out
-    code, out, err = run(capsys, *args, str(MAX_WITNESS_K + 1))
-    assert code == EXIT_ERROR
-    assert out == ""
-    assert str(MAX_WITNESS_K) in err
-    assert "Traceback" not in err
+    assert out == want
+    assert err == ""
+
+
+WITNESS_PAIRS = [("braid:3", "a"), ("dihedral:4", "s"), ("braid:5", "a"), ("braid:4", "aba")]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    pair=st.sampled_from(WITNESS_PAIRS + [("braid:3", "D")]),
+    k=st.integers(min_value=-3, max_value=120),
+)
+def test_unbounded_witness_exit_codes_fuzz(capsys, pair, k):
+    structure, parabolic = pair
+    code, out, err = run(
+        capsys,
+        "--structure", structure, "--parabolic", parabolic,
+        "unbounded-witness", "--k", str(k),
+    )
+    assert "Traceback" not in out + err
+    if parabolic != "D" and 1 <= k <= MAX_WITNESS_K:
+        assert code == EXIT_OK
+        assert out.endswith("verified: yes\n")
+    else:
+        assert code == EXIT_ERROR
+        assert out == ""
 
 
 def test_verify_quick(capsys):

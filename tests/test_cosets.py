@@ -16,8 +16,9 @@ from garside.cosets import (
     projection_diameter,
     right_delta_positive_part,
 )
-from garside.errors import DomainError
+from garside.errors import DomainError, StructureError
 from garside.parabolic import d_k, make_parabolic
+from garside.structures import build_braid, build_dihedral, table_from_descriptor
 
 from conftest import positives_up_to
 
@@ -348,3 +349,42 @@ def test_unbounded_witness_refuses_improper(b3):
     p = make_parabolic(b3.table, b3.D)
     with pytest.raises(DomainError):
         bounded_projection_witness(p, 1)
+
+
+def proper_parabolics():
+    """Every proper parabolic of braid:3-4 and dihedral:3-6."""
+    out = []
+    for t in [build_braid(3), build_braid(4)] + [build_dihedral(m) for m in (3, 4, 5, 6)]:
+        for s in range(t.n_simples):
+            if s in (t.unit, t.delta):
+                continue
+            try:
+                out.append(make_parabolic(t, s))
+            except StructureError:
+                pass
+    return out
+
+
+def test_unbounded_witness_agrees_with_bruteforce():
+    parabolics = proper_parabolics()
+    assert len(parabolics) == 16
+    for p in parabolics:
+        one = K.identity(p.table)
+        for k_bound in (1, 2, 3):
+            cert = bounded_projection_witness(p, k_bound)
+            assert cert.verified
+            want, dist = O.brute_projection(
+                cert.element, p.div_delta, 2 * cert.k, Budget(10**7)
+            )
+            assert dist == coset_length(cert.element, p)
+            assert cert.contains_identity == (one in want)
+            assert cert.contains_delta_neg == (p.delta_element() ** -cert.k in want)
+
+
+@pytest.mark.parametrize("structure, name", [("braid:4", "aba"), ("braid:3", "a")])
+def test_unbounded_witness_searches_nothing(structure, name):
+    t = table_from_descriptor(structure)
+    p = make_parabolic(t, t.simples.index(name))
+    cert = bounded_projection_witness(p, 100, Budget(0))
+    assert cert.verified
+    assert cert.element == d_k(p, 101)

@@ -33,7 +33,10 @@ def test_rank2_parabolic_data(b4, b4_sub):
     assert b4.simples[b4_sub.omega] == "cba"
     assert not b4_sub.improper
     # Conjugation by the sub-Garside element mirrors the rank-2 flip.
-    flip = {b4.simples[u]: b4.simples[v] for u, v in b4_sub.phi_sub.items()}
+    flip = {
+        b4.simples[u]: K.format_element(O.conjugate_by_delta_sub(b4_sub, K.simple(b4, u)))
+        for u in b4_sub.div_delta
+    }
     assert flip == {"1": "1", "a": "b", "b": "a", "ab": "ba", "ba": "ab", "aba": "aba"}
 
 

@@ -45,7 +45,8 @@ def test_parabolic_a_in_b3(b3, b3_parabolic):
     assert p.div_delta == {b3.one, b3.a}
     assert p.omega == b3.ba
     assert not p.improper
-    assert p.phi_sub == {b3.one: b3.one, b3.a: b3.a}
+    for u in (b3.one, b3.a):
+        assert O.conjugate_by_delta_sub(p, K.simple(b3.table, u)) == K.simple(b3.table, u)
 
 
 def test_parabolic_delta_is_improper(b3):
