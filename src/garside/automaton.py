@@ -16,6 +16,7 @@ import dataclasses
 import weakref
 from typing import Iterable, Sequence
 
+from .cosets import is_hn_reduced
 from .errors import DomainError, StructureError
 from .kernel import (
     Element,
@@ -174,8 +175,6 @@ def element_to_word(aut: CosetAutomaton, theta: Element) -> tuple[SignedLetter, 
     elements outside the transversal have no accepted spelling and are
     refused.
     """
-    from .cosets import is_hn_reduced
-
     if not is_hn_reduced(theta, aut.parabolic):
         raise DomainError("element is not a reduced coset representative")
     word = greedy_letters(theta)

@@ -24,7 +24,7 @@ from .cosets import (
     projection,
 )
 from .errors import BudgetExceededError, GarsideError, StructureError
-from .growth import rational_series, transfer_counts
+from .growth import format_poly, rational_series, transfer_counts
 from .kernel import Element, GarsideTable, normalize
 from .parabolic import ParabolicData, make_parabolic
 from .structures import table_from_descriptor, validate_table
@@ -246,8 +246,6 @@ def series(obj: Context):
     """Exact rational generating function of the coset growth."""
     aut = build_automaton(obj.table, obj.parabolic)
     rs = rational_series(aut)
-    from .growth import format_poly
-
     click.echo(f"numerator = {format_poly(rs.numerator)}")
     click.echo(f"denominator = {format_poly(rs.denominator)}")
     rec = ",".join(str(c) for c in rs.recurrence)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from enum import Enum
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructureError
 
@@ -34,18 +34,33 @@ from .errors import DomainError, StructureError
 SignedLetter = tuple[int, int]
 
 
+# The constructor refuses larger tables before allocating its n^2 lists;
+# braid:7, the largest built-in family member, has 7! simples.
+MAX_SIMPLES = 5040
+
+
 class GarsideTable:
     """Dense lookup tables over the simple elements of a Garside structure.
 
-    The table knows nothing about where its simples came from; it only
-    stores the finite combinatorics: the partial product (defined exactly
-    when the product of two simples is again simple), the two meet tables,
-    the complement sigma and the conjugation phi. Left and right quotient
-    tables and the inverses of sigma and phi are derived at construction.
+    A Garside structure is fixed by the partial product of its simples
+    (Dehornoy et al., Foundations of Garside Theory, ch. VI), so the
+    constructor takes only the names, the unit, D and the products
+    ``{(u, v): w}`` that are again simple (unit products are implied), and
+    derives everything else once: one loop over the product fills the left
+    and right quotient tables and the divisor bitsets, the meets are the
+    maxima of the common divisor sets, sigma(u) = u\\D, sigma^-1(v) = D/v,
+    phi = (sigma o sigma)^-1 and phi^-1 = sigma o sigma. It raises
+    StructureError when two products collide, cancellation fails, a pair
+    of simples has no greatest common divisor on either side, or a simple
+    has no complement. The unit laws, cancellation, balance (every simple
+    divides D on both sides), the meets, the complement and phi =
+    (sigma o sigma)^-1 therefore hold for every table; what the derived
+    tables cannot show, `structures.validate_table` checks.
 
-    ``grade`` is an additive length on simples (grade of a product is the
-    sum of the grades whenever the product is defined). It exists for every
-    table accepted by the validator; joins and the oracles order simples by it.
+    ``grade`` is the longest-chain length of each simple over the product.
+    It is additive (grade of a product is the sum of the grades whenever
+    the product is defined) on every table accepted by the validator; the
+    oracles order simples by it.
     """
 
     def __init__(
@@ -54,63 +69,116 @@ class GarsideTable:
         simples: Sequence[str],
         unit: int,
         delta: int,
-        atoms: Sequence[int],
-        grade: Sequence[int],
-        product: Sequence[int],
-        meet_l: Sequence[int],
-        meet_r: Sequence[int],
-        sigma: Sequence[int],
-        phi: Sequence[int],
+        products: Mapping[tuple[int, int], int],
     ):
         n = len(simples)
+        if n > MAX_SIMPLES:
+            raise StructureError(f"{n} simples exceed the limit of {MAX_SIMPLES}")
         if not (0 <= unit < n and 0 <= delta < n):
             raise StructureError("unit or delta index out of range")
         if n > 1 and unit == delta:
             raise StructureError("unit and delta must differ in a non-trivial table")
-        if len(product) != n * n or len(meet_l) != n * n or len(meet_r) != n * n:
-            raise StructureError("table sizes do not match the simple count")
-        if len(sigma) != n or len(phi) != n or len(grade) != n:
-            raise StructureError("unary table sizes do not match the simple count")
+
+        product = [-1] * (n * n)
+        for u in range(n):
+            product[u * n + unit] = u
+            product[unit * n + u] = u
+        for (u, v), w in products.items():
+            slot = u * n + v
+            if product[slot] not in (-1, w):
+                raise StructureError(
+                    f"conflicting products for {simples[u]} * {simples[v]}"
+                )
+            product[slot] = w
+
+        # Quotient tables: lquot[u][w] = v iff u*v = w, rquot[v][w] = u iff
+        # u*v = w; a second entry for one slot is a cancellation failure.
+        # Divisibility: u <=_L w iff some u*v = w (the cofactor of a simple
+        # divisor is itself simple, so one product suffices).
+        lquot = [-1] * (n * n)
+        rquot = [-1] * (n * n)
+        div_l = [0] * n  # bitset of left divisors of w
+        div_r = [0] * n
+        for u in range(n):
+            base = u * n
+            for v in range(n):
+                w = product[base + v]
+                if w < 0:
+                    continue
+                if lquot[base + w] >= 0:
+                    raise StructureError(
+                        f"left cancellation fails at {simples[u]} * ? = {simples[w]}"
+                    )
+                lquot[base + w] = v
+                if rquot[v * n + w] >= 0:
+                    raise StructureError(
+                        f"right cancellation fails at ? * {simples[v]} = {simples[w]}"
+                    )
+                rquot[v * n + w] = u
+                div_l[w] |= 1 << u
+                div_r[w] |= 1 << v
+
+        # Grade = atom count, computed as the longest-chain fixed point: start
+        # non-units at 1 and push each product up to the sum of its factors. On
+        # a consistent table this converges to the additive length; the
+        # validator rejects tables where additivity still fails afterwards.
+        grade = [1] * n
+        grade[unit] = 0
+        for _ in range(n + 1):
+            changed = False
+            for (u, v), w in products.items():
+                if u != unit and v != unit and grade[u] + grade[v] > grade[w]:
+                    grade[w] = grade[u] + grade[v]
+                    changed = True
+            if not changed:
+                break
+
+        # The meet is the first common divisor in descending grade order,
+        # provided it is divisible by every other common divisor. The common
+        # set always holds the unit.
+        by_grade_desc = sorted(range(n), key=lambda s: -grade[s])
+        meet_l = [0] * (n * n)
+        meet_r = [0] * (n * n)
+        for side, div, meet in (("meet_l", div_l, meet_l), ("meet_r", div_r, meet_r)):
+            for u in range(n):
+                for v in range(n):
+                    common = div[u] & div[v]
+                    for best in by_grade_desc:
+                        if common >> best & 1:
+                            break
+                    if common & ~div[best]:
+                        raise StructureError(
+                            f"{side}: common divisors have no maximum (not a lattice)"
+                        )
+                    meet[u * n + v] = best
+
+        # sigma is injective by right cancellation, hence a permutation.
+        sigma = [lquot[u * n + delta] for u in range(n)]
+        for u in range(n):
+            if sigma[u] < 0:
+                raise StructureError(f"no complement: {simples[u]} * ? = delta")
+        sigma_inv = [rquot[v * n + delta] for v in range(n)]
 
         self.name = name
         self.simples = list(simples)
         self.unit = unit
         self.delta = delta
-        self.atoms = tuple(atoms)
-        self.grade = list(grade)
-        self._product = list(product)
-        self._meet_l = list(meet_l)
-        self._meet_r = list(meet_r)
-        self._sigma = list(sigma)
-        self._phi = list(phi)
-
-        self._sigma_inv = _inverse_permutation(self._sigma, "sigma")
-        self._phi_inv = _inverse_permutation(self._phi, "phi")
-
-        # Quotient tables: _lquot[u][w] = v iff u*v = w, _rquot[v][w] = u
-        # iff u*v = w. Uniqueness is cancellativity; conflicts are rejected.
-        self._lquot = [-1] * (n * n)
-        self._rquot = [-1] * (n * n)
-        for u in range(n):
-            base = u * n
-            for v in range(n):
-                w = self._product[base + v]
-                if w < 0:
-                    continue
-                if self._lquot[base + w] not in (-1, v):
-                    raise StructureError(
-                        f"left cancellation fails at {self.simples[u]} * ? = {self.simples[w]}"
-                    )
-                self._lquot[base + w] = v
-                if self._rquot[v * n + w] not in (-1, u):
-                    raise StructureError(
-                        f"right cancellation fails at ? * {self.simples[v]} = {self.simples[w]}"
-                    )
-                self._rquot[v * n + w] = u
-
+        # An atom has no left divisor but the unit and itself.
+        self.atoms = tuple(
+            s for s in range(n) if s != unit and not div_l[s] & ~(1 << unit | 1 << s)
+        )
+        self.grade = grade
+        self._product = product
+        self._meet_l = meet_l
+        self._meet_r = meet_r
+        self._sigma = sigma
+        self._sigma_inv = sigma_inv
+        self._phi = [sigma_inv[sigma_inv[u]] for u in range(n)]
+        self._phi_inv = [sigma[sigma[u]] for u in range(n)]
+        self._lquot = lquot
+        self._rquot = rquot
         self._phi_order: int | None = None
         self._phi_pow_cache: dict[int, list[int]] = {}
-        self._join_memo: dict[int, int] = {}
         self._reversed: GarsideTable | None = None
 
     # -- basic accessors ---------------------------------------------------
@@ -197,32 +265,6 @@ class GarsideTable:
             self._phi_pow_cache[k] = perm
         return perm
 
-    def join_l(self, u: int, v: int) -> int:
-        """Least common upper bound of u, v for <=_L (memoised scan)."""
-        n = len(self.simples)
-        key = u * n + v
-        best = self._join_memo.get(key)
-        if best is not None:
-            return best
-        best = -1
-        for w in range(n):
-            if self.left_divides(u, w) and self.left_divides(v, w):
-                if best < 0 or self.grade[w] < self.grade[best]:
-                    best = w
-        if best < 0:
-            raise StructureError(
-                f"no common upper bound for {self.simples[u]}, {self.simples[v]}"
-            )
-        for w in range(n):
-            if self.left_divides(u, w) and self.left_divides(v, w):
-                if not self.left_divides(best, w):
-                    raise StructureError(
-                        f"join of {self.simples[u]}, {self.simples[v]} is not unique"
-                    )
-        self._join_memo[key] = best
-        self._join_memo[v * n + u] = best
-        return best
-
     def reversed(self) -> "GarsideTable":
         """The opposite structure: products reversed, left and right swapped.
 
@@ -252,22 +294,12 @@ class GarsideTable:
             rev._rquot = self._lquot
             rev._phi_order = self._phi_order
             rev._phi_pow_cache = {}
-            rev._join_memo = {}
             rev._reversed = self
             self._reversed = rev
         return self._reversed
 
     def __repr__(self):
         return f"GarsideTable({self.name!r}, {len(self.simples)} simples)"
-
-
-def _inverse_permutation(perm: list[int], what: str) -> list[int]:
-    inv = [-1] * len(perm)
-    for i, j in enumerate(perm):
-        if not (0 <= j < len(perm)) or inv[j] != -1:
-            raise StructureError(f"{what} is not a permutation of the simples")
-        inv[j] = i
-    return inv
 
 
 # -- canonical elements ----------------------------------------------------

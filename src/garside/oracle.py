@@ -16,6 +16,7 @@ for desk-scale radii only.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,25 +32,70 @@ Key = tuple[int, tuple[int, ...]]
 # -- word-level divisibility and greedy forms (kernel-free) -----------------
 
 
+_join_tables: "weakref.WeakKeyDictionary[GarsideTable, list[int]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _join_table(table: GarsideTable) -> list[int]:
+    """Left joins of all pairs of simples, row-major, computed once per table.
+
+    The join of u and v is the common upper bound of least grade, lowest
+    index first (every simple divides D, so one exists); it must divide
+    every other common upper bound, else the pair has no join and
+    StructureError is raised.
+    """
+    joins = _join_tables.get(table)
+    if joins is None:
+        n = table.n_simples
+        order = sorted(range(n), key=lambda w: table.grade[w])
+        # uppers[u]: the multiples w of u, as bits at w's place in `order`.
+        uppers = [0] * n
+        for bit, w in enumerate(order):
+            for u in range(n):
+                if table.left_divides(u, w):
+                    uppers[u] |= 1 << bit
+        joins = []
+        for u in range(n):
+            for v in range(n):
+                common = uppers[u] & uppers[v]
+                best = order[(common & -common).bit_length() - 1]
+                if common & ~uppers[best]:
+                    raise StructureError(
+                        f"join of {table.simples[u]}, {table.simples[v]} is not unique"
+                    )
+                joins.append(best)
+        _join_tables[table] = joins
+    return joins
+
+
+def join_l(table: GarsideTable, u: int, v: int) -> int:
+    """Least common upper bound of u, v for <=_L."""
+    return _join_table(table)[u * table.n_simples + v]
+
+
 def simple_divides_word(table: GarsideTable, s: int, word: Sequence[int]) -> bool:
     """Whether the simple s left-divides the product of the word's simples.
 
     Folds the classical recursion s <= u * w  iff  u\\(s v u) <= w over the
     word, using only meet, join and quotient lookups.
     """
+    joins = _join_table(table)
+    n = table.n_simples
     cur = s
     for u in word:
-        j = table.join_l(cur, u)
-        cur = table.lquot(u, j)
+        cur = table.lquot(u, joins[cur * n + u])
     return cur == table.unit
 
 
 def word_quotient(table: GarsideTable, s: int, word: Sequence[int]) -> list[int]:
     """A word for s^-1 * (product of word); requires s to divide it."""
+    joins = _join_table(table)
+    n = table.n_simples
     out: list[int] = []
     cur = s
     for u in word:
-        j = table.join_l(cur, u)
+        j = joins[cur * n + u]
         out.append(table.lquot(cur, j))
         cur = table.lquot(u, j)
     if cur != table.unit:

@@ -18,6 +18,7 @@ from .kernel import (
     GarsideTable,
     identity,
     invert,
+    left_orthogonal,
     meet_with_simple,
     multiply,
     simple,
@@ -190,8 +191,6 @@ def element_in_subgroup(x: Element, p: ParabolicData) -> bool:
     their greedy factors among the divisors of delta_sub, and conversely, so
     the test is a scan of two factor sequences.
     """
-    from .kernel import left_orthogonal
-
     b, a = left_orthogonal(x)
     for part in (b, a):
         for u in part.positive_factors():

@@ -7,9 +7,11 @@ abelian groups Z^n (simples are the 2^n square-free monomials). User tables
 come from a line-oriented text format documented in the README.
 
 Every provider produces the same raw data, a list of simple names plus the
-partial product, and a single completion routine derives grades, meets,
-complements and conjugation from first principles. The validator re-checks
-the lattice axioms on any table, built in or loaded.
+partial product, and hands it to the one table constructor,
+`kernel.GarsideTable`, which derives grades, meets, complements and
+conjugation from it and rejects products that break them. The validator
+checks the three axioms the derived tables cannot show: partial
+associativity, phi multiplicative and an additive grade.
 """
 
 from __future__ import annotations
@@ -25,127 +27,6 @@ BRAID_ATOM_LETTERS = "abcdef"
 ABELIAN_ATOM_LETTERS = ["x", "y", "z", "w"]
 # `validate_table` stops after this many violations.
 MAX_VIOLATIONS = 20
-
-
-# -- generic completion ----------------------------------------------------
-
-
-def _complete_table(
-    name: str,
-    simples: list[str],
-    unit: int,
-    delta: int,
-    products: dict[tuple[int, int], int],
-) -> GarsideTable:
-    """Derive a full GarsideTable from names and the partial product.
-
-    Divisibility, grades, meets, sigma and phi are all computed here; the
-    providers only have to describe which products of simples are simple.
-    Inconsistent inputs surface as StructureError, finer axiom violations
-    are left to validate_table.
-    """
-    n = len(simples)
-    product = [-1] * (n * n)
-    for u in range(n):
-        product[u * n + unit] = u
-        product[unit * n + u] = u
-    for (u, v), w in products.items():
-        slot = u * n + v
-        if product[slot] not in (-1, w):
-            raise StructureError(
-                f"conflicting products for {simples[u]} * {simples[v]}"
-            )
-        product[slot] = w
-
-    # Divisibility among simples: u <=_L w iff some u*v = w (the cofactor of
-    # a simple divisor is itself simple, so one product suffices).
-    div_l = [0] * n  # bitset of left divisors of w
-    div_r = [0] * n
-    for u in range(n):
-        for v in range(n):
-            w = product[u * n + v]
-            if w >= 0:
-                div_l[w] |= 1 << u
-                div_r[w] |= 1 << v
-
-    # Grade = atom count, computed as the longest-chain fixed point: start
-    # non-units at 1 and push each product up to the sum of its factors. On
-    # a consistent table this converges to the additive length; the
-    # validator rejects tables where additivity still fails afterwards.
-    grade = [1] * n
-    grade[unit] = 0
-    for _ in range(n + 1):
-        changed = False
-        for (u, v), w in products.items():
-            if u != unit and v != unit and grade[u] + grade[v] > grade[w]:
-                grade[w] = grade[u] + grade[v]
-                changed = True
-        if not changed:
-            break
-
-    by_grade_desc = sorted(range(n), key=lambda s: -grade[s])
-
-    def lattice_max(common: int, side: str) -> int:
-        best = -1
-        for w in by_grade_desc:
-            if common >> w & 1:
-                best = w
-                break
-        if best < 0:
-            raise StructureError(f"{side}: no common divisor found")
-        dominates = div_l[best] if side == "meet_l" else div_r[best]
-        if common & ~dominates:
-            raise StructureError(
-                f"{side}: common divisors have no maximum (not a lattice)"
-            )
-        return best
-
-    meet_l = [0] * (n * n)
-    meet_r = [0] * (n * n)
-    for u in range(n):
-        for v in range(n):
-            meet_l[u * n + v] = lattice_max(div_l[u] & div_l[v], "meet_l")
-            meet_r[u * n + v] = lattice_max(div_r[u] & div_r[v], "meet_r")
-
-    sigma = [-1] * n
-    for u in range(n):
-        for v in range(n):
-            if product[u * n + v] == delta:
-                if sigma[u] != -1:
-                    raise StructureError(
-                        f"complement of {simples[u]} is not unique"
-                    )
-                sigma[u] = v
-        if sigma[u] < 0:
-            raise StructureError(f"no complement: {simples[u]} * ? = delta")
-
-    # phi = inverse of sigma o sigma (D = u sigma(u) applied twice).
-    phi = [-1] * n
-    for u in range(n):
-        phi[sigma[sigma[u]]] = u
-    if any(x < 0 for x in phi):
-        raise StructureError("sigma is not a bijection")
-
-    return GarsideTable(
-        name=name,
-        simples=simples,
-        unit=unit,
-        delta=delta,
-        atoms=_find_atoms(n, unit, products),
-        grade=grade,
-        product=product,
-        meet_l=meet_l,
-        meet_r=meet_r,
-        sigma=sigma,
-        phi=phi,
-    )
-
-
-def _find_atoms(n: int, unit: int, products: dict[tuple[int, int], int]) -> tuple[int, ...]:
-    decomposable = {
-        w for (u, v), w in products.items() if u != unit and v != unit
-    }
-    return tuple(s for s in range(n) if s != unit and s not in decomposable)
 
 
 # -- braid groups ----------------------------------------------------------
@@ -178,9 +59,7 @@ def build_braid(n: int) -> GarsideTable:
             iw = index[w]
             if inv[iw] == inv[iu] + inv[iv]:
                 products[(iu, iv)] = iw
-    return _complete_table(
-        f"braid:{n}", names, index[ident], index[w0], products
-    )
+    return GarsideTable(f"braid:{n}", names, index[ident], index[w0], products)
 
 
 def _inversions(p: Sequence[int]) -> int:
@@ -249,7 +128,7 @@ def build_dihedral(m: int) -> GarsideTable:
             w = simple_of(u + v)
             if w is not None:
                 products[(index[u], index[v])] = w
-    return _complete_table(f"dihedral:{m}", names, unit, delta, products)
+    return GarsideTable(f"dihedral:{m}", names, unit, delta, products)
 
 
 # -- free abelian groups ---------------------------------------------------
@@ -285,7 +164,7 @@ def build_free_abelian(n: int) -> GarsideTable:
         for v in range(1 << n)
         if u and v and not (u & v)
     }
-    return _complete_table(f"abelian:{n}", names, 0, full, products)
+    return GarsideTable(f"abelian:{n}", names, 0, full, products)
 
 
 # -- text format -----------------------------------------------------------
@@ -341,9 +220,9 @@ def parse_structure_text(text: str) -> StructureFile:
     return StructureFile(name or "user", simples, delta, products)
 
 
-def load_table(source: StructureFile | str) -> GarsideTable:
-    """Build and validate a GarsideTable from a StructureFile or raw text."""
-    sf = parse_structure_text(source) if isinstance(source, str) else source
+def load_table(text: str) -> GarsideTable:
+    """Build and validate a GarsideTable from structure-format text."""
+    sf = parse_structure_text(text)
     index = {s: i for i, s in enumerate(sf.simples)}
     products: dict[tuple[int, int], int] = {}
     for u, v, w in sf.products:
@@ -351,7 +230,7 @@ def load_table(source: StructureFile | str) -> GarsideTable:
             if s not in index:
                 raise StructureError(f"unknown simple {s!r} in product line")
         products[(index[u], index[v])] = index[w]
-    table = _complete_table(sf.name, list(sf.simples), index["1"], index[sf.delta], products)
+    table = GarsideTable(sf.name, sf.simples, index["1"], index[sf.delta], products)
     violations = validate_table(table)
     if violations:
         raise StructureError(
@@ -384,41 +263,29 @@ def save_table(table: GarsideTable) -> str:
 
 
 def validate_table(table: GarsideTable) -> list[str]:
-    """Check the lattice axioms; an empty list means the table is valid.
+    """Check what the derived tables cannot show; [] means the table is valid.
 
-    Verifies the unit laws, partial associativity, divisibility of every
-    simple into D on both sides, the meet and join lattice conditions, the
-    consistency of sigma and phi, cancellativity and the existence of an
-    additive grading.
+    The constructor derives the meets, sigma and phi from the product and
+    rejects what breaks them, so the unit laws, cancellation, balance, the
+    meets, the complement and phi = (sigma o sigma)^-1 hold on every table.
+    Three axioms are left to check: partial associativity (a one-sided
+    defined triple is also an error), phi multiplicative, and an additive
+    grade (which implies Noetherianity for a finite table).
+
+    Joins need no check (theorem): once the product is associative and the
+    grade additive, left divisibility is a partial order on the finite set
+    of simples with top D (balance) and a meet for every pair, so the
+    common upper bounds of u and v form a non-empty set whose meet is an
+    upper bound of u and v below all of them: their join.
     """
     out: list[str] = []
     n = table.n_simples
-    unit = table.unit
-    delta = table.delta
     names = table.simples
 
     def report(msg: str) -> bool:
         out.append(msg)
         return len(out) >= MAX_VIOLATIONS
 
-    # Unit laws.
-    for u in range(n):
-        if table.product(unit, u) != u or table.product(u, unit) != u:
-            if report(f"unit-law: 1 * {names[u]} or {names[u]} * 1 wrong"):
-                return out
-
-    # Cancellativity of the product rows and columns.
-    for u in range(n):
-        seen: dict[int, int] = {}
-        for v in range(n):
-            w = table.product(u, v)
-            if w is not None and w in seen:
-                if report(f"cancellation: {names[u]} * x = {names[w]} twice"):
-                    return out
-            if w is not None:
-                seen[w] = v
-
-    # Partial associativity; a one-sided-defined triple is also an error.
     for u in range(n):
         for v in range(n):
             uv = table.product(u, v)
@@ -435,52 +302,6 @@ def validate_table(table: GarsideTable) -> list[str]:
                         ):
                             return out
 
-    # Recompute divisibility from the product.
-    div_l = [0] * n
-    div_r = [0] * n
-    for u in range(n):
-        for v in range(n):
-            w = table.product(u, v)
-            if w is not None:
-                div_l[w] |= 1 << u
-                div_r[w] |= 1 << v
-
-    full = (1 << n) - 1
-    if div_l[delta] != full or div_r[delta] != full:
-        report("balance: not every simple divides delta on both sides")
-
-    # Meets must be the maxima of the common divisor sets; joins must exist.
-    for u in range(n):
-        for v in range(n):
-            for side, div, meet in (
-                ("meet_l", div_l, table.meet_l(u, v)),
-                ("meet_r", div_r, table.meet_r(u, v)),
-            ):
-                common = div[u] & div[v]
-                if not common >> meet & 1 or common & ~div[meet]:
-                    if report(f"lattice-{side}: wrong meet of {names[u]}, {names[v]}"):
-                        return out
-    for u in range(n):
-        for v in range(n):
-            uppers = [w for w in range(n) if div_l[w] >> u & 1 and div_l[w] >> v & 1]
-            least = [w for w in uppers if all(div_l[x] >> w & 1 for x in uppers)]
-            if len(least) != 1:
-                if report(f"lattice-join: {names[u]}, {names[v]} have no least upper bound"):
-                    return out
-
-    # Complement and conjugation consistency.
-    if table.sigma(unit) != delta or table.sigma(delta) != unit:
-        report("complement: sigma must swap the unit and delta")
-    for u in range(n):
-        if table.product(u, table.sigma(u)) != delta:
-            if report(f"complement: {names[u]} * sigma({names[u]}) != delta"):
-                return out
-    for u in range(n):
-        if table.phi(table.sigma(table.sigma(u))) != u:
-            if report(f"phi: phi(sigma(sigma({names[u]}))) != {names[u]}"):
-                return out
-    if table.phi(unit) != unit or table.phi(delta) != delta:
-        report("phi: must fix the unit and delta")
     for u in range(n):
         for v in range(n):
             w = table.product(u, v)
@@ -489,13 +310,6 @@ def validate_table(table: GarsideTable) -> list[str]:
                 if report(f"phi: not multiplicative at {names[u]}, {names[v]}"):
                     return out
 
-    # Additive grading (implies Noetherianity for a finite table).
-    if table.grade[unit] != 0:
-        report("grading: unit must have grade 0")
-    for u in range(n):
-        if u != unit and table.grade[u] <= 0:
-            if report(f"grading: {names[u]} must have positive grade"):
-                return out
     for u in range(n):
         for v in range(n):
             w = table.product(u, v)

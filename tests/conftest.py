@@ -6,7 +6,13 @@ from garside import kernel as K
 from garside import oracle as O
 from garside.budget import Budget
 from garside.parabolic import make_parabolic
-from garside.structures import build_braid, build_dihedral, build_free_abelian
+from garside.structures import (
+    build_braid,
+    build_dihedral,
+    build_free_abelian,
+    save_table,
+    table_from_descriptor,
+)
 
 
 class B3:
@@ -80,3 +86,46 @@ def positives_up_to(ball, max_len):
         for x, d in sorted(ball.dist.items(), key=lambda kv: kv[0].sort_key())
         if d <= max_len and x.delta_power >= 0
     ]
+
+
+def cyclic_text(n):
+    """Structure file of <a1..an | a1 a2 = a2 a3 = ... = an a1 = D>, phi of order n for odd n."""
+    names = [f"a{i}" for i in range(1, n + 1)]
+    lines = [f"name: cyclic:{n}", "simples: 1 " + " ".join(names) + " D", "delta: D"]
+    lines += [f"{names[i]} {names[(i + 1) % n]} = D" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+# Saved tables that the mutation fuzzes start from.
+MUTATION_SOURCES = (
+    "braid:3", "braid:4", "dihedral:3", "dihedral:4", "dihedral:5",
+    "abelian:2", "abelian:3", "cyclic:3", "cyclic:5",
+)
+
+
+def mutation_source(descriptor):
+    if descriptor.startswith("cyclic:"):
+        return cyclic_text(int(descriptor.partition(":")[2]))
+    return save_table(table_from_descriptor(descriptor))
+
+
+def mutate_products(text, rng):
+    """One to three product-line mutations: drop, retarget, add or swap targets."""
+    lines = text.splitlines()
+    head = [line for line in lines if ":" in line]
+    products = [line for line in lines if "=" in line]
+    names = next(line for line in head if line.startswith("simples:")).split()[1:]
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("drop", "retarget", "add", "swap"))
+        if op == "drop" and products:
+            products.pop(rng.randrange(len(products)))
+        elif op == "retarget" and products:
+            i = rng.randrange(len(products))
+            products[i] = products[i].split("=")[0] + "= " + rng.choice(names)
+        elif op == "add":
+            products.append(f"{rng.choice(names)} {rng.choice(names)} = {rng.choice(names)}")
+        elif op == "swap" and len(products) > 1:
+            i, j = rng.sample(range(len(products)), 2)
+            (ui, wi), (uj, wj) = products[i].split("="), products[j].split("=")
+            products[i], products[j] = ui + "=" + wj, uj + "=" + wi
+    return "\n".join(head + products) + "\n"

@@ -1,6 +1,7 @@
 """End-to-end command line tests via the real entry point."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +17,8 @@ from garside.cli import (
     parse_element,
 )
 from garside.errors import StructureError
+
+from conftest import MUTATION_SOURCES, mutate_products, mutation_source
 
 
 def run(capsys, *argv):
@@ -429,6 +432,24 @@ def test_unbounded_witness_exit_codes_fuzz(capsys, pair, k):
     else:
         assert code == EXIT_ERROR
         assert out == ""
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(source=st.sampled_from(MUTATION_SOURCES), seed=st.integers(0, 2**32 - 1))
+def test_validate_mutated_file_exit_codes_fuzz(capsys, tmp_path, source, seed):
+    path = tmp_path / "mutant.garside"
+    path.write_text(mutate_products(mutation_source(source), random.Random(seed)))
+    code, out, err = run(capsys, "--structure", f"file:{path}", "validate")
+    assert "Traceback" not in out + err
+    assert code in (EXIT_OK, EXIT_ERROR)
+    if code == EXIT_OK:
+        assert out.startswith("table ok: ") and err == ""
+    else:
+        assert out == "" and err.startswith("error: ")
 
 
 def test_verify_quick(capsys):

@@ -17,14 +17,7 @@ from garside.growth import transfer_counts
 from garside.parabolic import make_parabolic
 from garside.structures import load_table, validate_table
 
-from conftest import signed_letters
-
-
-def cyclic_text(n):
-    names = [f"a{i}" for i in range(1, n + 1)]
-    lines = [f"name: cyclic:{n}", "simples: 1 " + " ".join(names) + " D", "delta: D"]
-    lines += [f"{names[i]} {names[(i + 1) % n]} = D" for i in range(n)]
-    return "\n".join(lines) + "\n"
+from conftest import cyclic_text, signed_letters
 
 
 @pytest.fixture(scope="module", params=[3, 5], ids=lambda n: f"cyclic:{n}")

@@ -50,6 +50,9 @@ def test_brute_meet_join_basics(b3):
     assert O.brute_meet(K.simple(t, b3.ab), K.simple(t, b3.ba)).is_identity
     assert O.brute_join(K.simple(t, b3.a), K.simple(t, b3.b)) == K.delta_power(t, 1)
     assert O.brute_join(K.simple(t, b3.a), K.simple(t, b3.ab)) == K.simple(t, b3.ab)
+    assert O.join_l(t, b3.a, b3.b) == b3.D
+    assert O.join_l(t, b3.a, b3.ab) == b3.ab
+    assert O.join_l(t, b3.ab, b3.ba) == b3.D
 
 
 def test_brute_tail_example(b3, b3_parabolic):

@@ -1,9 +1,12 @@
 """Builders, validator, text format round-trip and isomorphism checks."""
 
+import random
+
 import pytest
 
+from garside import oracle as O
 from garside.errors import StructureError
-from garside.kernel import GarsideTable
+from garside.kernel import MAX_SIMPLES, GarsideTable
 from garside.structures import (
     build_braid,
     build_dihedral,
@@ -15,6 +18,8 @@ from garside.structures import (
     tables_isomorphic,
     validate_table,
 )
+
+from conftest import MUTATION_SOURCES, cyclic_text, mutate_products, mutation_source
 
 
 def test_braid2_is_infinite_cyclic():
@@ -119,40 +124,98 @@ def test_dihedral3_isomorphic_to_braid3(b3):
     assert not tables_isomorphic(build_free_abelian(2), build_dihedral(4))
 
 
-def test_corrupted_sigma_detected(b3):
-    t = b3.table
-    sigma = list(t._sigma)
-    sigma[b3.a], sigma[b3.b] = sigma[b3.b], sigma[b3.a]
-    bad = GarsideTable(
-        "bad", t.simples, t.unit, t.delta, t.atoms, t.grade,
-        t._product, t._meet_l, t._meet_r, sigma, t._phi,
-    )
-    violations = validate_table(bad)
-    assert any(v.startswith("complement") for v in violations)
+def test_two_complements_rejected():
+    # a1 * a2 = D already; a second complement of a1 breaks left cancellation.
+    with pytest.raises(StructureError, match="left cancellation fails at a1"):
+        load_table(cyclic_text(3) + "a1 a3 = D\n")
 
 
-def test_corrupted_meet_detected(b3):
-    t = b3.table
-    meet_l = list(t._meet_l)
-    meet_l[b3.ab * t.n_simples + b3.a] = t.unit  # true meet is a
-    bad = GarsideTable(
-        "bad", t.simples, t.unit, t.delta, t.atoms, t.grade,
-        t._product, meet_l, t._meet_r, t._sigma, t._phi,
-    )
-    violations = validate_table(bad)
-    assert any(v.startswith("lattice-meet_l") for v in violations)
+def test_divisor_set_without_maximum_rejected():
+    # p = a c = b d and q = a d = b c: the common left divisors of p and q
+    # are 1, a and b, which have no maximum.
+    text = "simples: 1 a b c d p q D\ndelta: D\na c = p\nb d = p\na d = q\nb c = q\n"
+    with pytest.raises(StructureError, match="meet_l: common divisors have no maximum"):
+        load_table(text)
 
 
-def test_corrupted_grading_detected(b3):
-    t = b3.table
-    grade = list(t.grade)
-    grade[b3.ab] = 5
-    bad = GarsideTable(
-        "bad", t.simples, t.unit, t.delta, t.atoms, grade,
-        t._product, t._meet_l, t._meet_r, t._sigma, t._phi,
-    )
-    violations = validate_table(bad)
-    assert any(v.startswith("grading") for v in violations)
+def _build_unvalidated(text):
+    """The table of a structure file, as load_table builds it, without validation."""
+    sf = parse_structure_text(text)
+    i = {s: k for k, s in enumerate(sf.simples)}
+    products = {(i[u], i[v]): i[w] for u, v, w in sf.products}
+    return GarsideTable(sf.name, sf.simples, i["1"], i[sf.delta], products)
+
+
+NON_ADDITIVE_TEXT = """\
+simples: 1 a b c e D
+delta: D
+a b = D
+b a = D
+c c = e
+c e = D
+e c = D
+"""
+
+
+def test_non_additive_grade_reported():
+    # D = ab = ccc: every axiom the constructor enforces holds, but no
+    # grade is additive on both spellings of D.
+    assert validate_table(_build_unvalidated(NON_ADDITIVE_TEXT)) == [
+        "grading: not additive at a * b",
+        "grading: not additive at b * a",
+    ]
+    with pytest.raises(StructureError, match="grading: not additive at a [*] b"):
+        load_table(NON_ADDITIVE_TEXT)
+
+
+def test_table_size_bound():
+    names = " ".join(f"s{k}" for k in range(MAX_SIMPLES - 1))
+    with pytest.raises(StructureError, match=f"{MAX_SIMPLES + 1} simples exceed"):
+        load_table(f"simples: 1 {names} D\ndelta: D\n")
+
+
+def _divisors(t, left):
+    """Left (or right) divisor sets of every simple, read off the product."""
+    div = [set() for _ in range(t.n_simples)]
+    for a in range(t.n_simples):
+        for b in range(t.n_simples):
+            w = t.product(a, b)
+            if w is not None:
+                div[w].add(a if left else b)
+    return div
+
+
+def test_mutated_tables_build_only_consistent_lattices():
+    # Seeded product-line mutations of saved tables. On every mutant the
+    # constructor accepts, the meets are greatest common divisors read off
+    # the product, sigma and phi satisfy their definitions, and a valid
+    # table has a unique join for every pair.
+    rng = random.Random(20261018)
+    sources = [mutation_source(d) for d in MUTATION_SOURCES]
+    built = valid = 0
+    for k in range(3000):
+        text = mutate_products(sources[k % len(sources)], rng)
+        try:
+            t = _build_unvalidated(text)
+        except StructureError:
+            continue
+        built += 1
+        n = t.n_simples
+        for meet, div in ((t.meet_l, _divisors(t, True)), (t.meet_r, _divisors(t, False))):
+            for u in range(n):
+                for v in range(n):
+                    m = meet(u, v)
+                    common = div[u] & div[v]
+                    assert m in common and common <= div[m], text
+        for u in range(n):
+            assert t.product(u, t.sigma(u)) == t.delta, text
+            assert t.phi(t.sigma(t.sigma(u))) == u, text
+        if validate_table(t) == []:
+            valid += 1
+            for u in range(n):
+                for v in range(n):
+                    O.join_l(t, u, v)
+    assert built > 300 and valid > 150
 
 
 B3_TEXT = """\
