@@ -218,8 +218,11 @@ def _write(path: str, text: str) -> None:
     if path == "-":
         click.echo(text, nl=False)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StructureError(f"cannot write file {path!r}: {exc}") from None
     click.echo(f"wrote {path}")
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from enum import Enum
-from math import gcd
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, StructureError
@@ -158,6 +158,20 @@ class GarsideTable:
             if sigma[u] < 0:
                 raise StructureError(f"no complement: {simples[u]} * ? = delta")
         sigma_inv = [rquot[v * n + delta] for v in range(n)]
+        phi = [sigma_inv[sigma_inv[u]] for u in range(n)]
+
+        # The order of phi is the lcm of its cycle lengths.
+        phi_order = 1
+        seen = [False] * n
+        for start in range(n):
+            length = 0
+            u = start
+            while not seen[u]:
+                seen[u] = True
+                u = phi[u]
+                length += 1
+            if length:
+                phi_order = lcm(phi_order, length)
 
         self.name = name
         self.simples = list(simples)
@@ -173,11 +187,11 @@ class GarsideTable:
         self._meet_r = meet_r
         self._sigma = sigma
         self._sigma_inv = sigma_inv
-        self._phi = [sigma_inv[sigma_inv[u]] for u in range(n)]
+        self._phi = phi
         self._phi_inv = [sigma[sigma[u]] for u in range(n)]
         self._lquot = lquot
         self._rquot = rquot
-        self._phi_order: int | None = None
+        self.phi_order = phi_order
         self._phi_pow_cache: dict[int, list[int]] = {}
         self._reversed: GarsideTable | None = None
 
@@ -230,26 +244,6 @@ class GarsideTable:
     def phi(self, u: int) -> int:
         return self._phi[u]
 
-    @property
-    def phi_order(self) -> int:
-        """Order of phi as a permutation of the simples."""
-        if self._phi_order is None:
-            order = 1
-            n = len(self.simples)
-            seen = [False] * n
-            for start in range(n):
-                if seen[start]:
-                    continue
-                length = 0
-                u = start
-                while not seen[u]:
-                    seen[u] = True
-                    u = self._phi[u]
-                    length += 1
-                order = order * length // gcd(order, length)
-            self._phi_order = order
-        return self._phi_order
-
     def phi_pow(self, u: int, k: int) -> int:
         """phi^k(u) with k reduced modulo the order of phi."""
         return self._phi_perm(k)[u]
@@ -292,7 +286,7 @@ class GarsideTable:
             rev._phi_inv = self._phi
             rev._lquot = self._rquot
             rev._rquot = self._lquot
-            rev._phi_order = self._phi_order
+            rev.phi_order = self.phi_order
             rev._phi_pow_cache = {}
             rev._reversed = self
             self._reversed = rev
@@ -305,7 +299,7 @@ class GarsideTable:
 # -- canonical elements ----------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True)
 class Element:
     """A group element in canonical form D^delta_power * body.
 
@@ -314,6 +308,8 @@ class Element:
     consecutive pairs. The public constructor checks this, so an Element can
     always be trusted to be canonical; the kernel builds its own results
     through `_make`, whose callers produce greedy bodies by construction.
+    Equality and hashing compare the fields; `GarsideTable` defines no
+    ``__eq__``, so elements are equal only over the same table instance.
     """
 
     table: GarsideTable
@@ -329,19 +325,6 @@ class Element:
         for i in range(len(self.body) - 1):
             if t.meet_l(t.sigma(self.body[i]), self.body[i + 1]) != t.unit:
                 raise StructureError("body is not left greedy")
-
-    # Equality is canonical-form equality over the same table instance.
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return (
-            self.table is other.table
-            and self.delta_power == other.delta_power
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return hash((id(self.table), self.delta_power, self.body))
 
     def sort_key(self):
         return (self.delta_power, self.body)

@@ -16,6 +16,7 @@ for desk-scale radii only.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -378,6 +379,33 @@ def brute_tail(x: Element, div_delta: Iterable[int], budget: Budget | None = Non
         if not word_divides_word(t, _positive_word(d), _positive_word(best)):
             raise StructureError("N-divisors have no maximum")
     return best
+
+
+# -- table isomorphism ----------------------------------------------------------
+
+
+def brute_isomorphic(t1: GarsideTable, t2: GarsideTable) -> bool:
+    """Slow twin of `structures.tables_isomorphic`: every bijection fixing 1 and D.
+
+    Tries all (n-2)! bijections of the other simples and accepts the first
+    that carries every product of t1, defined or not, to the product of
+    the images in t2. Grades are not consulted.
+    """
+    n = t1.n_simples
+    if n != t2.n_simples:
+        return False
+    rest1 = [u for u in range(n) if u not in (t1.unit, t1.delta)]
+    rest2 = [v for v in range(n) if v not in (t2.unit, t2.delta)]
+    for images in itertools.permutations(rest2):
+        m = dict(zip(rest1, images))
+        m.update({t1.unit: t2.unit, t1.delta: t2.delta, None: None})
+        if all(
+            t2.product(m[a], m[b]) == m[t1.product(a, b)]
+            for a in range(n)
+            for b in range(n)
+        ):
+            return True
+    return False
 
 
 # -- parabolic helpers ---------------------------------------------------------

@@ -229,7 +229,8 @@ def load_table(text: str) -> GarsideTable:
         for s in (u, v, w):
             if s not in index:
                 raise StructureError(f"unknown simple {s!r} in product line")
-        products[(index[u], index[v])] = index[w]
+        if products.setdefault((index[u], index[v]), index[w]) != index[w]:
+            raise StructureError(f"conflicting products for {u} * {v}")
     table = GarsideTable(sf.name, sf.simples, index["1"], index[sf.delta], products)
     violations = validate_table(table)
     if violations:
@@ -324,7 +325,18 @@ def validate_table(table: GarsideTable) -> list[str]:
 
 
 def tables_isomorphic(t1: GarsideTable, t2: GarsideTable) -> bool:
-    """Whether a simple bijection preserves product, meets, sigma and phi."""
+    """Whether a bijection of the simples fixing 1 and D preserves the product.
+
+    Nothing else needs comparing: a Garside structure is fixed by the
+    product of its simples (Dehornoy et al., Foundations of Garside Theory,
+    ch. VI), so such a bijection also carries meets, sigma and phi over.
+    It preserves the longest-chain grade too, which `GarsideTable` reads
+    off the product, whenever that chain length is finite (on every table
+    the validator accepts), so each simple is matched only with simples of
+    its grade. The search maps simples in grade order and prunes on whether
+    products are defined; a complete map counts only when all n^2 products
+    agree, so a True answer is a checked isomorphism.
+    """
     n = t1.n_simples
     if n != t2.n_simples:
         return False
@@ -344,32 +356,24 @@ def tables_isomorphic(t1: GarsideTable, t2: GarsideTable) -> bool:
             return False
         for x in range(n):
             y = mapping[x]
-            if y < 0:
-                continue
-            for a, b, c, d in ((u, x, v, y), (x, u, y, v)):
-                p1 = t1.product(a, b)
-                p2 = t2.product(c, d)
-                if (p1 is None) != (p2 is None):
+            if y >= 0 and (
+                (t1.product(u, x) is None) != (t2.product(v, y) is None)
+                or (t1.product(x, u) is None) != (t2.product(y, v) is None)
+            ):
+                return False
+        return True
+
+    def is_isomorphism() -> bool:
+        for a in range(n):
+            for b in range(n):
+                w = t1.product(a, b)
+                if t2.product(mapping[a], mapping[b]) != (None if w is None else mapping[w]):
                     return False
-                if p1 is not None and mapping[p1] not in (-1, p2):
-                    return False
-                m1 = mapping[t1.meet_l(a, b)]
-                if m1 != -1 and m1 != t2.meet_l(c, d):
-                    return False
-                m1 = mapping[t1.meet_r(a, b)]
-                if m1 != -1 and m1 != t2.meet_r(c, d):
-                    return False
-        s1 = mapping[t1.sigma(u)]
-        if s1 != -1 and s1 != t2.sigma(v):
-            return False
-        p1 = mapping[t1.phi(u)]
-        if p1 != -1 and p1 != t2.phi(v):
-            return False
         return True
 
     def extend(pos: int) -> bool:
         if pos == n:
-            return True
+            return is_isomorphism()
         u = order[pos]
         for v in candidates[u]:
             if used[v] or not consistent(u, v):
@@ -405,6 +409,6 @@ def table_from_descriptor(descriptor: str) -> GarsideTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructureError(f"cannot read structure file {path!r}: {exc}") from None
     return load_table(text)

@@ -1,4 +1,4 @@
-"""Module boundaries: no private cross-module imports, a resolvable `__all__`."""
+"""Module boundaries: no private or unused imports, a resolvable `__all__`."""
 
 import ast
 from pathlib import Path
@@ -27,6 +27,26 @@ def imported_private_names(path):
     return out
 
 
+def unused_imports(path):
+    """(line, name) for each module-level imported name the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in ("*", "annotations"):
+                    imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # String annotations and `__all__` entries count as uses.
+    used |= {
+        n.value
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
 def test_modules_found():
     assert {"kernel.py", "cosets.py", "oracle.py", "cli.py"} <= {m.name for m in MODULES}
 
@@ -34,6 +54,26 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert imported_private_names(path) == []
+
+
+# `__init__.py` imports only to re-export: its `__all__` is every public name.
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_is_detected(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from .kernel import invert, multiply\n"
+        "def f(x: 'Element'):\n"
+        "    return multiply(x, os.sep)\n"
+    )
+    assert unused_imports(probe) == [(2, "sys"), (3, "invert")]
 
 
 def test_private_import_is_detected(tmp_path):

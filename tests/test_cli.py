@@ -452,6 +452,77 @@ def test_validate_mutated_file_exit_codes_fuzz(capsys, tmp_path, source, seed):
         assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("automaton", "--dot"),
+        ("automaton", "--table"),
+        ("growth", "--max-n", "3", "--csv"),
+        ("audit-fellow", "--max-len", "1", "--csv"),
+    ],
+    ids=["automaton-dot", "automaton-table", "growth-csv", "audit-fellow-csv"],
+)
+def test_unwritable_output_file_exit_code(capsys, tmp_path, command):
+    path = tmp_path / "missing" / "out.txt"
+    code, _, err = run(
+        capsys, "--structure", "braid:3", "--parabolic", "a", *command, str(path)
+    )
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: cannot write file {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_structure_file_exit_code(capsys, tmp_path):
+    path = tmp_path / "latin1.garside"
+    path.write_bytes("simples: 1 \u00e4 D\ndelta: D\n".encode("latin-1"))
+    code, out, err = run(capsys, "--structure", f"file:{path}", "validate")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith(f"error: cannot read structure file {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
+# (structure, parabolic); braid:3/ab is unbalanced, braid:3/D improper.
+EXPRESSION_PAIRS = [
+    ("braid:3", "a"), ("dihedral:4", "s"), ("braid:4", "aba"), ("braid:3", "ab"), ("braid:3", "D"),
+]
+# Six simple names per structure; the fuzz adds an unknown or empty name and D.
+EXPRESSION_NAMES = {"braid:3": "1 a b ab ba D", "dihedral:4": "1 s t st tst D", "braid:4": "1 a b c aba D"}
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    pair=st.sampled_from(EXPRESSION_PAIRS),
+    command=st.sampled_from(["nf", "coset-rep", "coset-length"]),
+    tokens=st.lists(
+        st.tuples(st.integers(0, 7), st.sampled_from(["", "^-3", "^-1", "^0", "^2", "^3", "^x"])),
+        max_size=6,
+    ),
+    bad_name=st.booleans(),
+)
+def test_expression_exit_codes_fuzz(capsys, pair, command, tokens, bad_name):
+    structure, parabolic = pair
+    names = EXPRESSION_NAMES[structure].split() + ["zz" if bad_name else "", "D"]
+    expr = ".".join(names[i] + exp for i, exp in tokens)
+    code, out, err = run(
+        capsys, "--structure", structure, "--parabolic", parabolic, command, expr
+    )
+    assert "Traceback" not in out + err
+    well_formed = bool(tokens) and all(
+        names[i] not in ("", "zz") and exp != "^x" for i, exp in tokens
+    )
+    if well_formed and (command == "nf" or parabolic != "ab"):
+        assert code == EXIT_OK
+        assert err == ""
+    else:
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error: ")
+
+
 def test_verify_quick(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == EXIT_OK

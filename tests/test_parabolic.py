@@ -15,9 +15,9 @@ from garside.parabolic import (
     tail,
     tail_split,
 )
-from garside.structures import build_free_abelian
+from garside.structures import build_free_abelian, load_table, table_from_descriptor
 
-from conftest import positives_up_to
+from conftest import cyclic_text, positives_up_to
 
 
 def n_elements_up_to(p, max_len):
@@ -71,6 +71,36 @@ def test_parabolic_abelian_subsets(z2):
     p = make_parabolic(z2, x)
     assert sorted(z2.simples[u] for u in p.div_delta) == ["1", "x"]
     assert z2.simples[p.omega] == "y"
+
+
+CONJUGATION_TABLES = (
+    [f"braid:{n}" for n in (3, 4, 5)]
+    + [f"dihedral:{m}" for m in range(3, 11)]
+    + [f"abelian:{n}" for n in range(2, 6)]
+    + [f"cyclic:{n}" for n in (3, 5, 7)]
+)
+
+
+@pytest.mark.parametrize("descriptor", CONJUGATION_TABLES)
+def test_conjugation_permutes_divisors_of_every_accepted_simple(descriptor):
+    # make_parabolic checks no conjugation: balance makes delta_sub-conjugation
+    # a permutation of the divisors. Check that on every simple it accepts,
+    # over the table and its reversal.
+    kind, _, arg = descriptor.partition(":")
+    table = load_table(cyclic_text(int(arg))) if kind == "cyclic" else table_from_descriptor(descriptor)
+    accepted = 0
+    for t in (table, table.reversed()):
+        for u in range(t.n_simples):
+            try:
+                p = make_parabolic(t, u)
+            except StructureError as exc:
+                assert "balanced" in str(exc) or u == t.unit
+                continue
+            accepted += 1
+            divisors = {K.simple(t, v) for v in p.div_delta if v != t.unit}
+            images = {O.conjugate_by_delta_sub(p, d) for d in divisors}
+            assert images == divisors, (t.name, t.display(u))
+    assert accepted >= 2  # at least D on both sides
 
 
 # -- tails -----------------------------------------------------------------------

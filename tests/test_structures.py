@@ -239,6 +239,13 @@ def test_load_table_from_text(b3):
     assert t.simples[t.delta] == "H"
 
 
+def test_conflicting_product_lines_rejected():
+    # A later line for the same pair must not silently replace an earlier one.
+    with pytest.raises(StructureError, match=r"conflicting products for a \* b"):
+        load_table(B3_TEXT + "a b = H\n")
+    assert tables_isomorphic(load_table(B3_TEXT + "a b = ab\n"), load_table(B3_TEXT))
+
+
 def test_save_load_roundtrip(b3, tmp_path):
     text = save_table(b3.table)
     again = load_table(text)
@@ -247,6 +254,59 @@ def test_save_load_roundtrip(b3, tmp_path):
     path = tmp_path / "b3.garside"
     path.write_text(text)
     assert tables_isomorphic(table_from_descriptor(f"file:{path}"), b3.table)
+
+
+# Sources of at most 8 simples, where the brute-force twin tries every bijection.
+ISO_SOURCES = ("braid:3", "dihedral:3", "dihedral:4", "abelian:2", "abelian:3", "cyclic:3", "cyclic:5")
+
+
+def _shuffled(rng, text):
+    """A saved structure with its simples and product lines reordered."""
+    name, simples, delta, *products = text.splitlines()
+    names = simples.split()[1:]
+    rng.shuffle(names)
+    rng.shuffle(products)
+    return "\n".join([name, "simples: " + " ".join(names), delta] + products) + "\n"
+
+
+def _swapped_values(text):
+    """The constructor-accepted tables with the values of two product lines swapped."""
+    head, products = text.splitlines()[:3], text.splitlines()[3:]
+    out = []
+    for i in range(len(products)):
+        for j in range(i):
+            (ui, wi), (uj, wj) = products[i].split("="), products[j].split("=")
+            mutant = list(products)
+            mutant[i], mutant[j] = ui + "=" + wj, uj + "=" + wi
+            try:
+                out.append(_build_unvalidated("\n".join(head + mutant) + "\n"))
+            except StructureError:
+                pass
+    return out
+
+
+def test_isomorphism_agrees_with_brute_force():
+    # Each source and its distinct value-swapped mutants, against their
+    # seed-shuffled reloads (isomorphic) and against every other table of
+    # the pool with as many simples (both answers; braid:3 and dihedral:3
+    # are isomorphic).
+    rng = random.Random(20261018)
+    pool = {}
+    for source in ISO_SOURCES:
+        text = mutation_source(source)
+        for t in [_build_unvalidated(text)] + _swapped_values(text):
+            pool.setdefault(save_table(t), t)
+    pool = list(pool.values())
+    answers = []
+    for t1 in pool:
+        reload = _build_unvalidated(_shuffled(rng, save_table(t1)))
+        assert tables_isomorphic(t1, reload) and O.brute_isomorphic(t1, reload)
+        for t2 in pool:
+            if t2 is not t1 and t2.n_simples == t1.n_simples:
+                got = tables_isomorphic(t1, t2)
+                assert got == O.brute_isomorphic(t1, t2), (save_table(t1), save_table(t2))
+                answers.append(got)
+    assert answers.count(True) >= 20 and answers.count(False) >= 200
 
 
 def test_parse_errors():
