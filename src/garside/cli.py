@@ -203,27 +203,33 @@ def coset_length_cmd(obj: Context, expr: str):
 def automaton(obj: Context, dot_path: str | None, table_path: str | None):
     """Build the coset acceptor; write DOT and/or transition listings."""
     aut = build_automaton(obj.table, obj.parabolic)
+    shown = ""
+    if dot_path is not None:
+        shown += _write(dot_path, dot_text(aut))
+    if table_path is not None:
+        shown += _write(table_path, transition_table_text(aut))
+    if dot_path is None and table_path is None:
+        shown = transition_table_text(aut)
     click.echo(
         f"automaton: {aut.n_states} states, {len(aut.alphabet)} letters"
     )
-    if dot_path is not None:
-        _write(dot_path, dot_text(aut))
-    if table_path is not None:
-        _write(table_path, transition_table_text(aut))
-    if dot_path is None and table_path is None:
-        click.echo(transition_table_text(aut), nl=False)
+    click.echo(shown, nl=False)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str) -> str:
+    """Write text to path; return what stdout shows for it.
+
+    That is the text itself for "-", else a `wrote` line. Commands write
+    every file before they print, so a write error leaves stdout empty.
+    """
     if path == "-":
-        click.echo(text, nl=False)
-        return
+        return text
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise StructureError(f"cannot write file {path!r}: {exc}") from None
-    click.echo(f"wrote {path}")
+    return f"wrote {path}\n"
 
 
 @cli.command()
@@ -238,9 +244,8 @@ def growth(obj: Context, max_n: int, csv_path: str | None):
     counts = transfer_counts(aut, max_n)
     lines = "".join(f"{n},{c}\n" for n, c in enumerate(counts))
     if csv_path is not None:
-        _write(csv_path, lines)
-    else:
-        click.echo(lines, nl=False)
+        lines = _write(csv_path, lines)
+    click.echo(lines, nl=False)
 
 
 @cli.command()
@@ -277,6 +282,7 @@ def project(obj: Context, expr: str):
 def audit_fellow(obj: Context, max_len: int, bound: int, csv_path: str | None):
     """Audit the fellow-projection property over a ball."""
     report = fellow_projection_audit(obj.parabolic, max_len, bound, Budget())
+    shown = _write(csv_path, audit_rows_csv(report)) if csv_path is not None else ""
     click.echo(report.summary())
     if report.witness is not None:
         w = report.witness
@@ -288,8 +294,7 @@ def audit_fellow(obj: Context, max_len: int, bound: int, csv_path: str | None):
             + f" partner={K.format_element(w.best_partner)}"
             + f" distance={w.distance}"
         )
-    if csv_path is not None:
-        _write(csv_path, audit_rows_csv(report))
+    click.echo(shown, nl=False)
     if report.partial:
         raise BudgetExceededError("audit incomplete: budget exhausted")
     if not report.passed:

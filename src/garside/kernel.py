@@ -35,8 +35,9 @@ SignedLetter = tuple[int, int]
 
 
 # The constructor refuses larger tables before allocating its n^2 lists;
-# braid:7, the largest built-in family member, has 7! simples.
-MAX_SIMPLES = 5040
+# abelian:10, the largest built-in, has 2^10 simples and builds and
+# validates in about 2 s.
+MAX_SIMPLES = 1024
 
 
 class GarsideTable:
@@ -56,6 +57,16 @@ class GarsideTable:
     divides D on both sides), the meets, the complement and phi =
     (sigma o sigma)^-1 therefore hold for every table; what the derived
     tables cannot show, `structures.validate_table` checks.
+
+    The divisor bitsets hold bit p for the simple at position p of the order
+    ``sorted(range(n), key=lambda s: (grade[s], -s))``. A proper divisor has
+    a smaller grade than its multiple, so it sits at a lower bit, and the
+    meet of u and v is the simple at the top bit of their common divisor
+    set, provided every other common divisor divides it. Among common
+    divisors of equal grade the top bit is the one of lowest id, the one a
+    scan of the simples in descending grade order finds first, so the
+    meets, and the tables refused as not a lattice, are those of that scan.
+    Each unordered pair costs one AND of two n-bit integers, not a scan.
 
     ``grade`` is the longest-chain length of each simple over the product.
     It is additive (grade of a product is the sum of the grades whenever
@@ -91,6 +102,27 @@ class GarsideTable:
                 )
             product[slot] = w
 
+        # Grade = atom count, computed as the longest-chain fixed point: start
+        # non-units at 1 and push each product up to the sum of its factors. On
+        # a consistent table this converges to the additive length; the
+        # validator rejects tables where additivity still fails afterwards.
+        grade = [1] * n
+        grade[unit] = 0
+        for _ in range(n + 1):
+            changed = False
+            for (u, v), w in products.items():
+                if u != unit and v != unit and grade[u] + grade[v] > grade[w]:
+                    grade[w] = grade[u] + grade[v]
+                    changed = True
+            if not changed:
+                break
+
+        # bit[s] marks s in the divisor bitsets; see the class docstring.
+        order = sorted(range(n), key=lambda s: (grade[s], -s))
+        bit = [0] * n
+        for pos, s in enumerate(order):
+            bit[s] = 1 << pos
+
         # Quotient tables: lquot[u][w] = v iff u*v = w, rquot[v][w] = u iff
         # u*v = w; a second entry for one slot is a cancellation failure.
         # Divisibility: u <=_L w iff some u*v = w (the cofactor of a simple
@@ -115,42 +147,25 @@ class GarsideTable:
                         f"right cancellation fails at ? * {simples[v]} = {simples[w]}"
                     )
                 rquot[v * n + w] = u
-                div_l[w] |= 1 << u
-                div_r[w] |= 1 << v
+                div_l[w] |= bit[u]
+                div_r[w] |= bit[v]
 
-        # Grade = atom count, computed as the longest-chain fixed point: start
-        # non-units at 1 and push each product up to the sum of its factors. On
-        # a consistent table this converges to the additive length; the
-        # validator rejects tables where additivity still fails afterwards.
-        grade = [1] * n
-        grade[unit] = 0
-        for _ in range(n + 1):
-            changed = False
-            for (u, v), w in products.items():
-                if u != unit and v != unit and grade[u] + grade[v] > grade[w]:
-                    grade[w] = grade[u] + grade[v]
-                    changed = True
-            if not changed:
-                break
-
-        # The meet is the first common divisor in descending grade order,
-        # provided it is divisible by every other common divisor. The common
-        # set always holds the unit.
-        by_grade_desc = sorted(range(n), key=lambda s: -grade[s])
+        # The meet is the common divisor at the top bit, provided every other
+        # common divisor divides it. The common set always holds the unit,
+        # and it is symmetric in u and v, so each unordered pair is read once.
         meet_l = [0] * (n * n)
         meet_r = [0] * (n * n)
         for side, div, meet in (("meet_l", div_l, meet_l), ("meet_r", div_r, meet_r)):
             for u in range(n):
-                for v in range(n):
-                    common = div[u] & div[v]
-                    for best in by_grade_desc:
-                        if common >> best & 1:
-                            break
+                div_u = div[u]
+                for v in range(u + 1):
+                    common = div_u & div[v]
+                    best = order[common.bit_length() - 1]
                     if common & ~div[best]:
                         raise StructureError(
                             f"{side}: common divisors have no maximum (not a lattice)"
                         )
-                    meet[u * n + v] = best
+                    meet[u * n + v] = meet[v * n + u] = best
 
         # sigma is injective by right cancellation, hence a permutation.
         sigma = [lquot[u * n + delta] for u in range(n)]
@@ -179,7 +194,7 @@ class GarsideTable:
         self.delta = delta
         # An atom has no left divisor but the unit and itself.
         self.atoms = tuple(
-            s for s in range(n) if s != unit and not div_l[s] & ~(1 << unit | 1 << s)
+            s for s in range(n) if s != unit and not div_l[s] & ~(bit[unit] | bit[s])
         )
         self.grade = grade
         self._product = product

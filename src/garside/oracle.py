@@ -26,6 +26,7 @@ from .budget import Budget, ensure_budget
 from .errors import DomainError, StructureError
 from .kernel import Element, GarsideTable, SignedLetter, identity, invert, multiply, simple
 from .parabolic import ParabolicData
+from .structures import MAX_VIOLATIONS
 
 Key = tuple[int, tuple[int, ...]]
 
@@ -379,6 +380,58 @@ def brute_tail(x: Element, div_delta: Iterable[int], budget: Budget | None = Non
         if not word_divides_word(t, _positive_word(d), _positive_word(best)):
             raise StructureError("N-divisors have no maximum")
     return best
+
+
+# -- table validation -------------------------------------------------------------
+
+
+def dense_validate_table(table: GarsideTable) -> list[str]:
+    """Slow twin of `structures.validate_table`: every triple and every pair.
+
+    Loops over all n^3 triples for partial associativity and all n^2 pairs
+    for phi and the grade, through `table.product`, and reports in the same
+    order with the same cut at `MAX_VIOLATIONS`.
+    """
+    out: list[str] = []
+    n = table.n_simples
+    names = table.simples
+
+    def report(msg: str) -> bool:
+        out.append(msg)
+        return len(out) >= MAX_VIOLATIONS
+
+    for u in range(n):
+        for v in range(n):
+            uv = table.product(u, v)
+            for w in range(n):
+                vw = table.product(v, w)
+                left = table.product(uv, w) if uv is not None else None
+                right = table.product(u, vw) if vw is not None else None
+                if left is not None or right is not None:
+                    if left != right:
+                        if report(
+                            "associativity: "
+                            f"({names[u]} {names[v]}) {names[w]} != "
+                            f"{names[u]} ({names[v]} {names[w]})"
+                        ):
+                            return out
+
+    for u in range(n):
+        for v in range(n):
+            w = table.product(u, v)
+            pw = table.product(table.phi(u), table.phi(v))
+            if (w is None) != (pw is None) or (w is not None and table.phi(w) != pw):
+                if report(f"phi: not multiplicative at {names[u]}, {names[v]}"):
+                    return out
+
+    for u in range(n):
+        for v in range(n):
+            w = table.product(u, v)
+            if w is not None and table.grade[u] + table.grade[v] != table.grade[w]:
+                if report(f"grading: not additive at {names[u]} * {names[v]}"):
+                    return out
+
+    return out
 
 
 # -- table isomorphism ----------------------------------------------------------

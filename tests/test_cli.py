@@ -174,6 +174,7 @@ def test_automaton_files(capsys, tmp_path):
         "automaton", "--dot", str(dot), "--table", str(table),
     )
     assert code == EXIT_OK
+    assert out == f"automaton: 12 states, 10 letters\nwrote {dot}\nwrote {table}\n"
     assert dot.read_text().startswith("digraph")
     assert "x0 b -> b" in table.read_text()
 
@@ -463,11 +464,13 @@ def test_validate_mutated_file_exit_codes_fuzz(capsys, tmp_path, source, seed):
     ids=["automaton-dot", "automaton-table", "growth-csv", "audit-fellow-csv"],
 )
 def test_unwritable_output_file_exit_code(capsys, tmp_path, command):
+    # Files are written before anything is printed, so stdout stays empty.
     path = tmp_path / "missing" / "out.txt"
-    code, _, err = run(
+    code, out, err = run(
         capsys, "--structure", "braid:3", "--parabolic", "a", *command, str(path)
     )
     assert code == EXIT_ERROR
+    assert out == ""
     assert err.startswith(f"error: cannot write file {str(path)!r}: ")
     assert "Traceback" not in err
 

@@ -280,3 +280,17 @@ SERIES_PINS = [
 @pytest.mark.parametrize("descriptor, name, expected", SERIES_PINS)
 def test_series_pinned(descriptor, name, expected):
     assert str(rational_series(automaton_of(descriptor, name))) == expected
+
+
+# The braid:6/a series, frozen from the table the scan-based constructor built.
+BRAID6_A_SERIES = (
+    "numerator = 1 + 498*t - 25914*t^2 - 345786*t^3 + 16647028*t^4 - 167549166*t^5 + 672658766*t^6 - 488100390*t^7 - 5625066717*t^8 + 23947272732*t^9 - 48162881356*t^10 + 57794374176*t^11 - 43125274032*t^12 + 18931499712*t^13 - 3377867328*t^14 - 988540416*t^15 + 728082432*t^16 - 169205760*t^17 + 14929920*t^18; denominator = 1 - 220*t + 17808*t^2 - 682136*t^3 + 14353670*t^4 - 181811376*t^5 + 1481868476*t^6 - 8138913992*t^7 + 31068733329*t^8 - 84117667540*t^9 + 163595961724*t^10 - 230120201280*t^11 + 234507917616*t^12 - 172441475136*t^13 + 90414732096*t^14 - 32966161920*t^15 + 7953914880*t^16 - 1144627200*t^17 + 74649600*t^18; recurrence = 220,-17808,682136,-14353670,181811376,-1481868476,8138913992,-31068733329,84117667540,-163595961724,230120201280,-234507917616,172441475136,-90414732096,32966161920,-7953914880,1144627200,-74649600; guard = 18"
+)
+
+
+def test_braid6_series_and_counts():
+    # braid:6 has 720 simples; the acceptor of its parabolic <a> has 1440 states.
+    aut = automaton_of("braid:6", "a")
+    assert aut.n_states == 1440
+    assert str(rational_series(aut)) == BRAID6_A_SERIES
+    assert transfer_counts(aut, 4) == O.dense_transfer_counts(aut, 4)

@@ -1,5 +1,6 @@
 """Builders, validator, text format round-trip and isomorphism checks."""
 
+import hashlib
 import random
 
 import pytest
@@ -48,7 +49,7 @@ def test_braid_range_guard():
     with pytest.raises(StructureError):
         build_braid(1)
     with pytest.raises(StructureError):
-        build_braid(8)
+        build_braid(7)
 
 
 def test_dihedral_counts_and_sigma():
@@ -77,7 +78,7 @@ def test_abelian_structure():
     with pytest.raises(StructureError):
         build_free_abelian(0)
     with pytest.raises(StructureError):
-        build_free_abelian(13)
+        build_free_abelian(11)
 
 
 def test_builtin_families_validate():
@@ -169,6 +170,8 @@ def test_non_additive_grade_reported():
 
 
 def test_table_size_bound():
+    # abelian:10, the largest built-in, sits at the limit.
+    assert build_free_abelian(10).n_simples == MAX_SIMPLES
     names = " ".join(f"s{k}" for k in range(MAX_SIMPLES - 1))
     with pytest.raises(StructureError, match=f"{MAX_SIMPLES + 1} simples exceed"):
         load_table(f"simples: 1 {names} D\ndelta: D\n")
@@ -216,6 +219,67 @@ def test_mutated_tables_build_only_consistent_lattices():
                 for v in range(n):
                     O.join_l(t, u, v)
     assert built > 300 and valid > 150
+
+
+# Saved tables the validator differential test mutates, all small enough
+# for the n^3 twin. The cyclic tables make ties in grade among common
+# divisors, where the constructor's choice of meet shows.
+DIFFERENTIAL_SOURCES = MUTATION_SOURCES + ("abelian:4",)
+# SHA-256 over what the constructor makes of each of the 3200 mutants of
+# seed 20261018: its error message, or everything it derives. Frozen from
+# the constructor that found each meet by a linear scan in grade order.
+MUTANT_OUTCOMES_SHA256 = "455bb82e58dddfc8a740dd939c8cee2804ba8089ab3fd0ecf13f1521a79d2b0d"
+
+
+def _derived(t):
+    """Everything the constructor derives from the product, as text."""
+    n = t.n_simples
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    return repr((
+        t.atoms,
+        t.grade,
+        [t.product(u, v) for u, v in pairs],
+        [t.meet_l(u, v) for u, v in pairs],
+        [t.meet_r(u, v) for u, v in pairs],
+        [t.sigma(u) for u in range(n)],
+        [t.phi(u) for u in range(n)],
+    ))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [f"braid:{n}" for n in range(2, 5)]
+    + [f"dihedral:{m}" for m in range(3, 21)]
+    + [f"abelian:{n}" for n in range(1, 6)],
+)
+def test_validator_agrees_with_dense_twin_on_builtins(descriptor):
+    t = table_from_descriptor(descriptor)
+    for table in (t, t.reversed()):
+        assert validate_table(table) == O.dense_validate_table(table) == []
+
+
+def test_validator_and_constructor_on_mutants():
+    # On every mutant the constructor accepts, the sparse validator returns
+    # the n^3 twin's list; and the constructor accepts, derives and refuses
+    # exactly as the scan-based constructor did.
+    rng = random.Random(20261018)
+    sources = [mutation_source(d) for d in DIFFERENTIAL_SOURCES]
+    outcomes = hashlib.sha256()
+    built = valid = 0
+    for k in range(3200):
+        text = mutate_products(sources[k % len(sources)], rng)
+        try:
+            t = _build_unvalidated(text)
+        except StructureError as exc:
+            outcomes.update(f"error: {exc}\n".encode())
+            continue
+        outcomes.update(f"{_derived(t)}\n".encode())
+        violations = validate_table(t)
+        assert violations == O.dense_validate_table(t), text
+        built += 1
+        valid += not violations
+    assert (built, valid) == (438, 265)
+    assert outcomes.hexdigest() == MUTANT_OUTCOMES_SHA256
 
 
 B3_TEXT = """\
