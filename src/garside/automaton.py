@@ -87,7 +87,6 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
         return cached
 
     unit = table.unit
-    delta = table.delta
     d_sub = p.delta_sub
     omega = p.omega
     simples = [s for s in range(table.n_simples) if s != unit]
@@ -102,8 +101,6 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
         v, sign = letter
         if sign == 1:
             return table.meet_l(v, d_sub) == unit
-        if v == delta:
-            return True
         sv = table.sigma(v)
         return table.meet_l(sv, d_sub) == unit and not table.left_divides(omega, sv)
 

@@ -28,7 +28,6 @@ from .growth import format_poly, rational_series, transfer_counts
 from .kernel import Element, GarsideTable, normalize
 from .parabolic import ParabolicData, make_parabolic
 from .structures import table_from_descriptor, validate_table
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -315,25 +314,6 @@ def unbounded_witness(obj: Context, k_bound: int):
     click.echo(f"projection contains delta^-{cert.k}: {cert.contains_delta_neg}")
     click.echo(f"spread: {cert.spread} > {k_bound}")
     click.echo("verified: yes" if cert.verified else "verified: no")
-
-
-@cli.command()
-@click.option(
-    "--level",
-    type=click.Choice(["quick", "full"]),
-    default="quick",
-    show_default=True,
-)
-@click.pass_obj
-def verify(obj: Context, level: str):
-    """Run the oracle agreement suite over the built-in structures."""
-    results = run_verification(level)
-    failed = 0
-    for r in results:
-        click.echo(("PASS " if r.passed else "FAIL ") + f"{r.name}: {r.detail}")
-        failed += 0 if r.passed else 1
-    if failed:
-        raise StructureError(f"{failed} verification checks failed")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,4 +1,4 @@
-"""Brute-force reference computations used by tests and `verify`.
+"""Brute-force reference computations used by the tests and the benchmark.
 
 Everything here recomputes results from definitions rather than from the
 kernel's algorithms: greedy heads are found by exhaustive search over all

@@ -47,6 +47,25 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def oracle_imports(path):
+    """Line of each import of `garside.oracle`, in any of its spellings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "garside" if node.level > 0 else ""
+            if node.module:
+                package = f"{package}.{node.module}" if package else node.module
+            names = [package] + [f"{package}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if "garside.oracle" in names:
+            out.append(node.lineno)
+    return out
+
+
 def test_modules_found():
     assert {"kernel.py", "cosets.py", "oracle.py", "cli.py"} <= {m.name for m in MODULES}
 
@@ -62,6 +81,29 @@ def test_no_private_cross_module_imports(path):
 )
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# The brute-force oracles are test machinery: the library never calls them.
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "oracle.py"], ids=lambda p: p.name
+)
+def test_no_library_module_imports_oracle(path):
+    assert oracle_imports(path) == []
+
+
+def test_oracle_import_is_detected(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .oracle import bfs_lengths\n"
+        "from . import kernel, oracle as O\n"
+        "import garside.oracle\n"
+        "from garside import oracle\n"
+        "from garside.oracle import canonical_key\n"
+        "from .kernel import normalize\n"
+        "from . import oracles\n"
+        "import oracle\n"
+    )
+    assert oracle_imports(probe) == [1, 2, 3, 4, 5]
 
 
 def test_unused_import_is_detected(tmp_path):

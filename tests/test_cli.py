@@ -193,6 +193,15 @@ def test_unknown_structure_exit_code(capsys):
     assert code == EXIT_ERROR
 
 
+def test_unknown_subcommand_exit_code(capsys):
+    # There is no `verify`: the oracle agreement checks live in the test suite.
+    code, out, err = run(capsys, "--structure", "braid:3", "verify")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "No such command 'verify'" in err
+    assert "Traceback" not in err
+
+
 def test_missing_parabolic_exit_code(capsys):
     code, _, err = run(capsys, "--structure", "braid:3", "coset-length", "b")
     assert code == EXIT_ERROR
@@ -485,6 +494,9 @@ def test_non_utf8_structure_file_exit_code(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+# Node budget of the fuzzed ball searches: enough for most short inputs.
+FUZZ_BUDGET = 3000
+
 # (structure, parabolic); braid:3/ab is unbalanced, braid:3/D improper.
 EXPRESSION_PAIRS = [
     ("braid:3", "a"), ("dihedral:4", "s"), ("braid:4", "aba"), ("braid:3", "ab"), ("braid:3", "D"),
@@ -494,20 +506,22 @@ EXPRESSION_NAMES = {"braid:3": "1 a b ab ba D", "dihedral:4": "1 s t st tst D", 
 
 
 @settings(
-    max_examples=80,
+    max_examples=120,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
     pair=st.sampled_from(EXPRESSION_PAIRS),
-    command=st.sampled_from(["nf", "coset-rep", "coset-length"]),
+    command=st.sampled_from(["nf", "coset-rep", "coset-length", "project"]),
     tokens=st.lists(
         st.tuples(st.integers(0, 7), st.sampled_from(["", "^-3", "^-1", "^0", "^2", "^3", "^x"])),
         max_size=6,
     ),
     bad_name=st.booleans(),
 )
-def test_expression_exit_codes_fuzz(capsys, pair, command, tokens, bad_name):
+def test_expression_exit_codes_fuzz(capsys, monkeypatch, pair, command, tokens, bad_name):
+    # `project` searches a ball; a small budget makes it run out sometimes.
+    monkeypatch.setenv("GARSIDE_BUDGET", str(FUZZ_BUDGET))
     structure, parabolic = pair
     names = EXPRESSION_NAMES[structure].split() + ["zz" if bad_name else "", "D"]
     expr = ".".join(names[i] + exp for i, exp in tokens)
@@ -519,18 +533,57 @@ def test_expression_exit_codes_fuzz(capsys, pair, command, tokens, bad_name):
         names[i] not in ("", "zz") and exp != "^x" for i, exp in tokens
     )
     if well_formed and (command == "nf" or parabolic != "ab"):
-        assert code == EXIT_OK
-        assert err == ""
+        assert code in (EXIT_OK, EXIT_BUDGET)
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert command == "project"
+            assert out == "" and err.startswith("error: ")
     else:
         assert code == EXIT_ERROR
         assert out == "" and err.startswith("error: ")
 
 
-def test_verify_quick(capsys):
-    code, out, _ = run(capsys, "verify", "--level", "quick")
-    assert code == EXIT_OK
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 8
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    pair=st.sampled_from([("braid:3", "a"), ("braid:4", "aba"), ("braid:3", "D")]),
+    options=st.one_of(
+        st.tuples(
+            st.just("growth"), st.just("--max-n"), st.integers(-5, MAX_GROWTH_TERMS + 5).map(str)
+        ),
+        st.tuples(st.just("series")),
+        st.tuples(
+            st.just("audit-fellow"),
+            st.just("--max-len"), st.integers(-3, 3).map(str),
+            st.just("--bound"), st.integers(-2, 6).map(str),
+        ),
+    ),
+)
+def test_option_exit_codes_fuzz(capsys, monkeypatch, pair, options):
+    monkeypatch.setenv("GARSIDE_BUDGET", str(FUZZ_BUDGET))
+    structure, parabolic = pair
+    code, out, err = run(capsys, "--structure", structure, "--parabolic", parabolic, *options)
+    assert "Traceback" not in out + err
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_BUDGET)
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert err.startswith("error: ")
+    if options[0] == "growth":
+        max_n = int(options[2])
+        if 0 <= max_n <= MAX_GROWTH_TERMS:
+            assert code == EXIT_OK
+            assert len(out.splitlines()) == max_n + 1
+        else:
+            assert code == EXIT_ERROR and out == ""
+    elif options[0] == "series":
+        assert code == EXIT_OK
+    elif int(options[2]) < 0:
+        assert code == EXIT_ERROR and out == ""
 
 
 def test_structure_file_flag(capsys, tmp_path, b3):

@@ -4,8 +4,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from garside import oracle as O
-from garside.automaton import SINK, START, CosetAutomaton, build_automaton, enumerate_accepted
+from garside.automaton import (
+    SINK,
+    START,
+    CosetAutomaton,
+    build_automaton,
+    enumerate_accepted,
+    word_to_element,
+)
 from garside.budget import Budget
+from garside.cosets import is_hn_reduced
 from garside.errors import StructureError
 from garside.growth import (
     RationalSeries,
@@ -79,8 +87,9 @@ def test_series_improper_line():
     z1 = build_free_abelian(1)
     p = make_parabolic(z1, z1.delta)
     rs = rational_series(build_automaton(z1, p))
+    # H = G has one coset, so the series is the constant 1.
     assert rs.numerator == (1,)
-    assert rs.denominator == (1, -1)
+    assert rs.denominator == (1,)
     assert rs.guard == 0
 
 
@@ -151,6 +160,21 @@ def test_transfer_counts_match_dense_twin(descriptor):
         assert transfer_counts(aut, 30) == O.dense_transfer_counts(aut, 30), name
         names.append(name)
     assert "D" in names and len(names) >= 3
+
+
+@pytest.mark.parametrize("descriptor", ["braid:3", "dihedral:3", "abelian:1", "abelian:2"])
+def test_every_parabolic_agrees_with_oracle_partition(descriptor):
+    # D included: H = G has one coset, so its counts are 1, 0, 0.
+    budget = Budget(10**7)
+    names = []
+    for name, aut in every_parabolic(descriptor):
+        part = O.brute_coset_partition(aut.table, aut.parabolic.div_sorted, 2, budget)
+        assert transfer_counts(aut, 2) == part.counts_by_length(2), name
+        for n in range(4):
+            for word in enumerate_accepted(aut, n):
+                assert is_hn_reduced(word_to_element(aut, word), aut.parabolic), (name, word)
+        names.append(name)
+    assert "D" in names
 
 
 @pytest.mark.parametrize(

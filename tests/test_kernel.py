@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from garside import kernel as K
 from garside import oracle as O
+from garside.budget import Budget
 from garside.errors import DomainError, StructureError
 from garside.structures import build_braid, build_dihedral, table_from_descriptor
 
@@ -63,10 +64,14 @@ def test_element_constructor_rejects_non_greedy(b3):
         K.Element(b3.table, 0, (b3.D,))
 
 
-def test_normalize_agrees_with_oracle_words_len3(b3):
-    for word in signed_words(b3.table, 3):
-        x = K.normalize(b3.table, word)
-        assert (x.delta_power, x.body) == O.canonical_key(b3.table, word)
+def test_normalize_agrees_with_oracle_words_len3():
+    # braid:4 has 46 signed letters, so its words stop at length 2.
+    cases = ["braid:3", "dihedral:3", "dihedral:4", "abelian:2", "abelian:3"]
+    for descriptor, max_len in [(d, 3) for d in cases] + [("braid:4", 2)]:
+        table = table_from_descriptor(descriptor)
+        for word in signed_words(table, max_len):
+            x = K.normalize(table, word)
+            assert (x.delta_power, x.body) == O.canonical_key(table, word), descriptor
 
 
 @settings(max_examples=120, deadline=None)
@@ -153,10 +158,15 @@ def test_positive_factor_count_is_geodesic_length(b3, b3_ball4):
             assert x.factor_count() == dist
 
 
-def test_length_is_bfs_distance_ball3(b3, b3_ball4):
-    for x, dist in b3_ball4.dist.items():
-        if dist <= 3:
-            assert x.length() == dist
+def test_length_is_bfs_distance_ball3(b3_ball4):
+    balls = [b3_ball4] + [
+        O.bfs_lengths(table_from_descriptor(d), 3, Budget(10**7))
+        for d in ("abelian:2", "abelian:3", "dihedral:3")
+    ]
+    for ball in balls:
+        for x, dist in ball.dist.items():
+            if dist <= 3:
+                assert x.length() == dist
 
 
 def test_product_length_lower_bound(b3, b3_ball4):

@@ -101,15 +101,19 @@ def test_canonical_key_roundtrip(b3):
 
 def test_full_agreement_on_stated_balls(b3, b3_parabolic, b3_ball4, i24, i24_parabolic, i24_ball3):
     """Kernel, parabolic and coset results agree with the oracles on the
-    radius-4 three-strand ball and the radius-3 dihedral ball."""
+    radius-4 three-strand ball and the radius-3 balls of dihedral:4,
+    dihedral:3 and abelian:2."""
     from garside.cosets import coset_length, coset_representative, projection
-    from garside.parabolic import tail
+    from garside.parabolic import make_parabolic, tail
+    from garside.structures import table_from_descriptor
 
     budget = Budget(10**7)
-    for table, p, ball in (
-        (b3.table, b3_parabolic, b3_ball4),
-        (i24, i24_parabolic, i24_ball3),
-    ):
+    cases = [(b3.table, b3_parabolic, b3_ball4), (i24, i24_parabolic, i24_ball3)]
+    for descriptor, name in (("dihedral:3", "s"), ("abelian:2", "x")):
+        table = table_from_descriptor(descriptor)
+        p = make_parabolic(table, table.simples.index(name))
+        cases.append((table, p, O.bfs_lengths(table, 3, budget)))
+    for table, p, ball in cases:
         part = O.brute_coset_partition(table, p.div_sorted, ball.radius, budget)
         rep_of = {}
         for cls in part.classes:
