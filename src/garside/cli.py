@@ -237,6 +237,8 @@ def _write(path: str, text: str) -> str:
 @click.pass_obj
 def growth(obj: Context, max_n: int, csv_path: str | None):
     """Count reduced representatives by length: one `n,e(n)` row per line."""
+    if max_n < 0:
+        raise StructureError(f"--max-n {max_n} is less than 0")
     if max_n > MAX_GROWTH_TERMS:
         raise StructureError(f"--max-n {max_n} is more than {MAX_GROWTH_TERMS}")
     aut = build_automaton(obj.table, obj.parabolic)

@@ -231,6 +231,8 @@ def fellow_projection_audit(
     """
     if max_len < 0:
         raise DomainError("the audit radius must be at least 0")
+    if bound < 0:
+        raise DomainError("the distance bound must be at least 0")
     budget = ensure_budget(budget)
     t = p.table
     simples = [s for s in range(t.n_simples) if s != t.unit]

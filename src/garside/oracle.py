@@ -3,7 +3,8 @@
 Everything here recomputes results from definitions rather than from the
 kernel's algorithms: greedy heads are found by exhaustive search over all
 simples, divisor sets by recursive enumeration, coset partitions by pairwise
-subgroup-membership tests, lengths by breadth-first search. The only kernel
+subgroup-membership tests, lengths by breadth-first search, braid tables by
+composing every pair of permutations. The only kernel
 facilities the oracles rely on are the raw tables and canonical Element
 equality (ball searches use Element multiplication as the edge relation;
 the word-level normal form below never does, so the kernel normaliser is
@@ -26,7 +27,7 @@ from .budget import Budget, ensure_budget
 from .errors import DomainError, StructureError
 from .kernel import Element, GarsideTable, SignedLetter, identity, invert, multiply, simple
 from .parabolic import ParabolicData
-from .structures import MAX_VIOLATIONS
+from .structures import BRAID_ATOM_LETTERS, MAX_VIOLATIONS
 
 Key = tuple[int, tuple[int, ...]]
 
@@ -380,6 +381,61 @@ def brute_tail(x: Element, div_delta: Iterable[int], budget: Budget | None = Non
         if not word_divides_word(t, _positive_word(d), _positive_word(best)):
             raise StructureError("N-divisors have no maximum")
     return best
+
+
+# -- table construction -----------------------------------------------------------
+
+
+def permutation_braid(n: int) -> GarsideTable:
+    """Slow twin of `structures.build_braid`: every pair of permutations.
+
+    Composes all n!^2 pairs and keeps u·v when its inversion count is the
+    sum of theirs; each simple is named by peeling its smallest left
+    descent until the identity remains, which spells the lexicographically
+    least reduced word.
+    """
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    inv = [_inversions(p) for p in perms]
+    ident = tuple(range(n))
+    w0 = tuple(range(n - 1, -1, -1))
+
+    names = [_braid_name(p, ident, w0) for p in perms]
+    products: dict[tuple[int, int], int] = {}
+    for iu, pu in enumerate(perms):
+        if pu == ident:
+            continue
+        for iv, pv in enumerate(perms):
+            if pv == ident:
+                continue
+            w = tuple(pv[pu[i]] for i in range(n))
+            iw = index[w]
+            if inv[iw] == inv[iu] + inv[iv]:
+                products[(iu, iv)] = iw
+    return GarsideTable(f"braid:{n}", names, index[ident], index[w0], products)
+
+
+def _inversions(p: Sequence[int]) -> int:
+    return sum(
+        1
+        for i in range(len(p))
+        for j in range(i + 1, len(p))
+        if p[i] > p[j]
+    )
+
+
+def _braid_name(p: tuple[int, ...], ident: tuple[int, ...], w0: tuple[int, ...]) -> str:
+    if p == ident:
+        return "1"
+    if p == w0:
+        return "D"
+    word = []
+    cur = list(p)
+    while cur != list(ident):
+        i = next(k for k in range(len(cur) - 1) if cur[k] > cur[k + 1])
+        word.append(BRAID_ATOM_LETTERS[i])
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+    return "".join(word)
 
 
 # -- table validation -------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Builders, loader and validator for Garside tables.
 
-Three families are built in: braid groups on n strands (simples are the n!
-permutation braids, D the half twist), dihedral Artin groups I2(m) (simples
-are the alternating prefixes of the two relator words, 2m in total) and free
-abelian groups Z^n (simples are the 2^n square-free monomials). User tables
-come from a line-oriented text format documented in the README.
+Three families are built in, each a spherical Artin group whose simples are
+the elements of a finite Coxeter group W: braid groups on n strands (A_(n-1),
+the n! permutation braids), dihedral Artin groups I2(m) (2m simples) and free
+abelian groups Z^n (A1^n, the 2^n square-free monomials). User tables come
+from a line-oriented text format documented in the README.
 
 Every provider produces the same raw data, a list of simple names plus the
 partial product, and hands it to the one table constructor,
@@ -24,148 +24,108 @@ from .errors import StructureError
 from .kernel import GarsideTable
 
 BRAID_ATOM_LETTERS = "abcde"
-ABELIAN_ATOM_LETTERS = ["x", "y", "z", "w"]
 # `validate_table` stops after this many violations.
 MAX_VIOLATIONS = 20
 
 
-# -- braid groups ----------------------------------------------------------
+# -- built-in families -------------------------------------------------------
+
+
+def _coxeter_table(
+    name: str, letters: Sequence[str], up: Sequence[Sequence[int]], unit: int, delta: int
+) -> GarsideTable:
+    """The table of a spherical Artin group, given by its finite Coxeter group W.
+
+    ``up[x][i]`` is the id of x·s_i when that step adds one to the length,
+    else -1, and ``letters[i]`` names s_i. The simples are the elements of
+    W, and u·v is simple iff l(uv) = l(u) + l(v) (Brieskorn–Saito 1972;
+    Deligne 1972). A BFS over `up` from the unit, letters in index order,
+    first reaches each simple y along its shortlex-least reduced word, its
+    name; the step x·s_i = y that reached it makes y a child of x.
+
+    For each u != 1, v walks this tree from its root 1 carrying w = u·v,
+    and steps to a child v·s_i when w·s_i goes up. This finds exactly the
+    defined products (theorem): for v = v's_i reduced, l(uv) <= l(uv') + 1
+    <= l(u) + l(v') + 1 = l(u) + l(v), so lengths add for (u, v) iff they
+    add for (u, v') and (uv')s_i goes up; induct on l(v), with v' the
+    parent of v. Each u tries each child of a reached v once, so the work
+    is O((P + n)·r) for P defined products, n simples and r letters, not
+    O(n^2).
+    """
+    words = {unit: ""}
+    children: list[list[tuple[int, int]]] = [[] for _ in up]
+    queue = [unit]
+    for x in queue:
+        for i, y in enumerate(up[x]):
+            if y >= 0 and y not in words:
+                words[y] = words[x] + letters[i]
+                children[x].append((i, y))
+                queue.append(y)
+    words.update({unit: "1", delta: "D"})
+
+    products: dict[tuple[int, int], int] = {}
+    for u in queue[1:]:  # every simple but the unit
+        walk = [(unit, u)]
+        for v, w in walk:
+            for i, v2 in children[v]:
+                w2 = up[w][i]
+                if w2 >= 0:
+                    products[(u, v2)] = w2
+                    walk.append((v2, w2))
+    return GarsideTable(name, [words[x] for x in range(len(up))], unit, delta, products)
 
 
 def build_braid(n: int) -> GarsideTable:
     """Classical Garside structure on the braid group with n strands.
 
-    Simples are the n! permutation braids with D the half twist; products,
-    meets and complements all derive from inversion counts. The n <= 6
-    guard keeps the dense tables at desk scale: braid:6 (720 simples)
-    builds and validates in about 2 s, braid:7 would have 5040.
+    Simples are the n! permutation braids, D the half twist. Permutations
+    multiply as ``(u·v)[k] = v[u[k]]``, so p·s_i swaps the values i and i+1
+    of p, and goes up iff i comes before i+1. The n <= 6 guard keeps the
+    dense tables at desk scale: braid:6 (720 simples) builds in about
+    0.35 s and validates in 0.3 s, braid:7 would have 5040.
     """
     if not (2 <= n <= 6):
         raise StructureError("braid strand count must be in 2..6")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    inv = [_inversions(p) for p in perms]
-    ident = tuple(range(n))
-    w0 = tuple(range(n - 1, -1, -1))
-
-    names = [_braid_name(p, ident, w0) for p in perms]
-    products: dict[tuple[int, int], int] = {}
-    for iu, pu in enumerate(perms):
-        if pu == ident:
-            continue
-        for iv, pv in enumerate(perms):
-            if pv == ident:
-                continue
-            w = tuple(pv[pu[i]] for i in range(n))
-            iw = index[w]
-            if inv[iw] == inv[iu] + inv[iv]:
-                products[(iu, iv)] = iw
-    return GarsideTable(f"braid:{n}", names, index[ident], index[w0], products)
-
-
-def _inversions(p: Sequence[int]) -> int:
-    return sum(
-        1
-        for i in range(len(p))
-        for j in range(i + 1, len(p))
-        if p[i] > p[j]
-    )
-
-
-def _braid_name(p: tuple[int, ...], ident: tuple[int, ...], w0: tuple[int, ...]) -> str:
-    if p == ident:
-        return "1"
-    if p == w0:
-        return "D"
-    # Lexicographically least reduced word: repeatedly peel the smallest
-    # descent as the first Artin letter.
-    word = []
-    cur = list(p)
-    while cur != list(ident):
-        i = next(k for k in range(len(cur) - 1) if cur[k] > cur[k + 1])
-        word.append(BRAID_ATOM_LETTERS[i])
-        cur[i], cur[i + 1] = cur[i + 1], cur[i]
-    return "".join(word)
-
-
-# -- dihedral Artin groups -------------------------------------------------
+    up = [[-1] * (n - 1) for _ in perms]
+    for p, row in zip(perms, up):
+        for i in range(n - 1):
+            if p.index(i) < p.index(i + 1):
+                row[i] = index[tuple(2 * i + 1 - x if x in (i, i + 1) else x for x in p)]
+    return _coxeter_table(f"braid:{n}", BRAID_ATOM_LETTERS, up, 0, len(perms) - 1)
 
 
 def build_dihedral(m: int) -> GarsideTable:
     """Garside structure on the dihedral Artin group I2(m).
 
     Simples are the unit, the 2(m-1) proper alternating words in s and t,
-    and D, the alternating word of length m (both spellings coincide).
+    and D, the alternating word of length m (both spellings coincide). The
+    word of length k that starts with s has id 2k-1, the one that starts
+    with t has 2k, and word x ends in s iff x // 2 is even.
     """
     if not (3 <= m <= 50):
         raise StructureError("dihedral parameter must be in 3..50")
-
-    def alt(first: str, length: int) -> str:
-        other = "t" if first == "s" else "s"
-        return "".join(first if i % 2 == 0 else other for i in range(length))
-
-    names = ["1"]
-    for length in range(1, m):
-        names.append(alt("s", length))
-        names.append(alt("t", length))
-    names.append("D")
-    index = {w: i for i, w in enumerate(names)}
-    unit = index["1"]
-    delta = index["D"]
-
-    def simple_of(word: str) -> int | None:
-        if len(word) == m:
-            return delta
-        return index.get(word)
-
-    products: dict[tuple[int, int], int] = {}
-    proper = [w for w in names if w not in ("1", "D")]
-    for u in proper:
-        for v in proper:
-            if u[-1] == v[0]:
-                continue
-            if len(u) + len(v) > m:
-                continue
-            w = simple_of(u + v)
-            if w is not None:
-                products[(index[u], index[v])] = w
-    return GarsideTable(f"dihedral:{m}", names, unit, delta, products)
-
-
-# -- free abelian groups ---------------------------------------------------
+    top = 2 * m - 1
+    up = [[1, 2]] + [
+        [-1 if i == x // 2 % 2 else min(x + 2, top) for i in (0, 1)]
+        for x in range(1, top)
+    ] + [[-1, -1]]
+    return _coxeter_table(f"dihedral:{m}", "st", up, 0, top)
 
 
 def build_free_abelian(n: int) -> GarsideTable:
-    """Free abelian group Z^n with D the product of all generators.
+    """Free abelian group Z^n (type A1^n) with D the product of all generators.
 
-    Simples are square-free monomials, indexed by subsets; products are
-    defined on disjoint supports, the meet is intersection, sigma the
-    complement and phi the identity.
+    Simples are the square-free monomials, with id the bit mask of their
+    support; x·s_i sets bit i if it is clear. The meet is intersection,
+    sigma the complement and phi the identity.
     """
     if not (1 <= n <= 10):
         raise StructureError("abelian rank must be in 1..10")
-    letters = (
-        ABELIAN_ATOM_LETTERS[:n]
-        if n <= len(ABELIAN_ATOM_LETTERS)
-        else [f"x{i + 1}" for i in range(n)]
-    )
-    full = (1 << n) - 1
-
-    def name_of(mask: int) -> str:
-        if mask == 0:
-            return "1"
-        if mask == full:
-            return "D"
-        return "".join(letters[i] for i in range(n) if mask >> i & 1)
-
-    names = [name_of(mask) for mask in range(1 << n)]
-    products = {
-        (u, v): u | v
-        for u in range(1 << n)
-        for v in range(1 << n)
-        if u and v and not (u & v)
-    }
-    return GarsideTable(f"abelian:{n}", names, 0, full, products)
+    letters = "xyzw"[:n] if n <= 4 else [f"x{i + 1}" for i in range(n)]
+    up = [[-1 if x >> i & 1 else x | 1 << i for i in range(n)] for x in range(1 << n)]
+    return _coxeter_table(f"abelian:{n}", letters, up, 0, (1 << n) - 1)
 
 
 # -- text format -----------------------------------------------------------

@@ -332,6 +332,11 @@ def test_growth_max_n_limit(capsys):
         assert out == ""
         assert str(MAX_GROWTH_TERMS) in err
         assert "Traceback" not in err
+    for n in (-1, -3):
+        code, out, err = run(capsys, *args, str(n))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert "--max-n" in err
 
 
 def test_unbounded_witness_command(capsys):
@@ -582,7 +587,8 @@ def test_option_exit_codes_fuzz(capsys, monkeypatch, pair, options):
             assert code == EXIT_ERROR and out == ""
     elif options[0] == "series":
         assert code == EXIT_OK
-    elif int(options[2]) < 0:
+    elif int(options[2]) < 0 or int(options[4]) < 0:
+        # A negative radius or bound is refused before any work.
         assert code == EXIT_ERROR and out == ""
 
 

@@ -95,6 +95,86 @@ def test_builtin_families_validate():
         assert validate_table(table) == [], table.name
 
 
+# SHA-256 of `save_table` on every built-in table but abelian:10 (0.7 s
+# alone), frozen from the pairwise product loops that the Coxeter walk
+# replaced: the saved text holds each id, name and product.
+BUILTIN_PINNED = {
+    "braid:2": "6b5d01661194c81cc00c60baa6f503db686d8c045bd3f418669bcd1b3243eebb",
+    "braid:3": "3cd06cf4ae18def22b59c360a0d66b0b603e1f433df9d9657f610e1f5accb64e",
+    "braid:4": "17b690c5972a2f795c8975877763dd38225cc5ff07810cd0c02503731ec436af",
+    "braid:5": "f73133ec59a395ee6ad6d037dbdb5e82e6257d4f7975b6ee72bdbcc4cd3b2a9f",
+    "braid:6": "b5d8f61148c1c77fa9ce2b101344a6bc8fa7511f46a5315ea08f5d4c71b61e41",
+    "dihedral:3": "ab24e9cb4b44484d71cbb5178146a5fc276cfa61c2ce1e92d40a0a7bc68dd6f8",
+    "dihedral:4": "cf140a31fe46abbd647f3da4a5d5a4603b4bed37924b623051d435cee9e3780e",
+    "dihedral:5": "9977bb39dad603b477c745837a7e6f5bdb6e566b3db124c4b492bf9b15144fa3",
+    "dihedral:6": "d33d6169737862e5cd61983e18513f782e94746f1aa32730c1fffa4bee800494",
+    "dihedral:7": "f7b120ebcffa79e15d487a894751cc68d2fe7da29a5a25c63616cbb85c87a6d4",
+    "dihedral:8": "30202c27b2b85804f80079ceddb4f236b0230bb988b118d954a54d0456d70698",
+    "dihedral:9": "3bcc100e1bbfd0197c33cf902d7870a7812ba3582c4262cc4dc42ea28a930416",
+    "dihedral:10": "29fc56f1a4d9b1083fba321a29f9c6afcfe4d119bdc12efb51623bd3bf57147c",
+    "dihedral:11": "8a147d824cdc07fead062e812d50ba3141e121e23f11cbc5dd4834147703d353",
+    "dihedral:12": "049ef728768765751ca9f400c24ce6c47083ad0a2695d0ddc1350c91088da6e8",
+    "dihedral:13": "0370497e5010e8fa393297521b652c2793ec94a906c32541ecdb91edc92b6165",
+    "dihedral:14": "baa037d2a117b605f4b136775316c1138cc3259035e382ea351c7b819562e67a",
+    "dihedral:15": "33ff9504eabc9d84885c26342abf5b5c9fab6b781330eabe725a77672e64ab47",
+    "dihedral:16": "b892866337095025d70d5e66f353eb3becc21ac7cf1925ee7199bc512eeadb49",
+    "dihedral:17": "f7403fb23010b4152f88fa557742aa14a398b652ba7040d093bb36d72e174ae7",
+    "dihedral:18": "51ef186bc50ed8c988f263f74bbd07ce74bbb025728f5499a70f4c228912452e",
+    "dihedral:19": "87dd56f85fbd658fb58d5833c01f1239d56f1f96bf1f1dac9af58d20cb0142a8",
+    "dihedral:20": "2e7c54f4dbc36af6a67bf8c3540e6d45b6e95326f001e760ef59c5cf693b02a7",
+    "dihedral:21": "6750b03878557a42dad03ae3039b8a582625ad3efa0c4a77fb81fda5460f4566",
+    "dihedral:22": "63cc0788dfe0b1262a0ff34dd12a32d0661fc718f5843996b2de4b3b7cd2535e",
+    "dihedral:23": "1b8bdd90397659eedede07184dd13650ee78f08c0f27322176b918794396bfa5",
+    "dihedral:24": "bbc7550b413f2911282db00112d11b82bf2e77828296e93ff5916e6f723f4116",
+    "dihedral:25": "5f9ef5d875cc1f62ff089699d80dd13ecb8b65c6a4e3c60ef310825930833c87",
+    "dihedral:26": "e7f2eb90956806f4c6c5a2626ef85c4165c27a5ca66bbe59a9dd0dcf38edb077",
+    "dihedral:27": "b80b39eef7a400cceebb329d3b96bf29dc4e19bacb9aaaefd62e6f6057583830",
+    "dihedral:28": "9ef9a960fc96764552ab2fbc9915b1ca4a59259ec4a91a01759a1793a07bb782",
+    "dihedral:29": "ab0c8b3de83b45e44f486878ca32ce762a18ce5b5912ccf5d08c2ef7a2db4b4e",
+    "dihedral:30": "0b88ec94c30dd0f96ce8c8131df33ed1ded8fea3792a969b86c2ddbaad5d50a9",
+    "dihedral:31": "ae3c16777fd9d09bb002eff4655ca8183ce891100a2d9bc59cbaf5504d5eb32c",
+    "dihedral:32": "957142472da059496f0653937becde6f2c94012734f4eca7c854fc1dc64040e1",
+    "dihedral:33": "7390d0c71193d277060fafc6c36858096c6df1e602960adbcff0d62905680e29",
+    "dihedral:34": "3b96a13e7036bc8ff216d6e43cb359c010e9bc1550c4b3202dc7a3020186459b",
+    "dihedral:35": "f1858927feb59e9f1ff40303f1391934331eb9e9030ba3e9948d8b4cfec5921a",
+    "dihedral:36": "0bb8c15b9b69c7ed0a9f4b58e5ef3ebfb2e7391acdacaf46746c4532023c9674",
+    "dihedral:37": "8137caf53194837fe7a1f73d3c8b4b22f4353ec06c874c4e7bab7b04f18fa087",
+    "dihedral:38": "166eaf69c182fb40e803f544f741cdfdfa5d60ae9c94f1ff18982e98efce8e33",
+    "dihedral:39": "8eda713ee78bc987d2c909cd35a035fc2807841dd4d2bf98592974d9e2fc80eb",
+    "dihedral:40": "25dbad6fca0a68068b2a4c2839672ecc83b05434b6b2dd1309deb0296c8c8a6d",
+    "dihedral:41": "bf522b0bce68485301c811e7855a8acac367f35bfcbeb2402166fa25033f1620",
+    "dihedral:42": "74d5f3e210640c6ccbeff35e7f03864d5545a5273a99ac869fa789791cc3b30b",
+    "dihedral:43": "09958b94de2a26d601c67a40c53a19ff1f417b86b0beaa1827057254d7ee3b87",
+    "dihedral:44": "097be5f303c8d42ef26ee9b82580cf6b4d9614a146e3fce6b7089642bc5cbb58",
+    "dihedral:45": "2df2fbda9f727ae0a99f7b0f5aa3b36e20c9e5aacff810b77a5f73b622c7f79a",
+    "dihedral:46": "79782f9ac7dfefe8cd8bd6321c19654f8e5d75270daf9d9d827b8cd4b197b79e",
+    "dihedral:47": "7bc175f89966245378682771c3294bb34577c2788cb10c43077bdf09d410fc25",
+    "dihedral:48": "1ee43a7fe44c7ce488d0dead397740b9a391be589ef9135654f0f30575d2128a",
+    "dihedral:49": "cfba7786c804c046cdc73f4902d7d32faff6ef287e1e9808f943aa5a44398fcc",
+    "dihedral:50": "269982652c9cb042769365eacdc66c494b459bd532762864f492cd376c59b078",
+    "abelian:1": "d64ff24f06b936f8dd3b24229da5bbc67a5f8ba3c39976ddfbe4bc9dfb37ff83",
+    "abelian:2": "ff50338df094d2540aee18f1735b02ee4052bcde0a5c81ab3668d0077c884408",
+    "abelian:3": "39bec4f92ed0f6540227ec216467a9b93f0475c05d77deea028dee2e58ff2ad4",
+    "abelian:4": "d6ec3d6aeb7938a744834997379585a98eeac954ea9cd411689c6af96cf9d976",
+    "abelian:5": "c26a74f548339646e0d7d19d42a34c521d8a8642371d5fabf19560b9b4721b92",
+    "abelian:6": "e62956648af8908d4864936acf659c7f5239305521945d9cbdfe33e58098752f",
+    "abelian:7": "eb3ce7fdcfe29bb5f315fa8cbd71786e58cc2e808f8d20e5ac69fbb0294aa1c7",
+    "abelian:8": "b9b2ee049aa8b842496511cb61881568096a9721972ab4c5713effbf812fbdd3",
+    "abelian:9": "5c737a4d915b95d57f020bde245f556c376b01bf1dee7b8b2b8a18e3d0a44b84",
+}
+
+
+@pytest.mark.parametrize("descriptor", BUILTIN_PINNED)
+def test_builtin_table_pinned(descriptor):
+    text = save_table(table_from_descriptor(descriptor))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_PINNED[descriptor]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_braid_matches_permutation_twin(n):
+    assert save_table(O.permutation_braid(n)) == save_table(build_braid(n))
+
+
 def test_meet_algebra_laws():
     # Idempotent, commutative, associative; D is neutral, the unit absorbing.
     for t in (build_braid(3), build_dihedral(4), build_free_abelian(2)):
