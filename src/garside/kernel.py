@@ -1,8 +1,8 @@
 """Garside structure tables and canonical group elements.
 
 A Garside group is presented here by the finite lattice of divisors of its
-Garside element D: a table of simple elements with a partial product, both
-meet tables, the right complement map sigma (u * sigma(u) = D) and the
+Garside element D: a table of simple elements with a partial product, the
+left meet table, the right complement map sigma (u * sigma(u) = D) and the
 conjugation phi(u) = D u D^-1. All group-level computation (normal forms,
 multiplication, inversion, length, the factored views) is driven by these
 tables, so one kernel serves braid groups, dihedral Artin groups, free
@@ -36,7 +36,7 @@ SignedLetter = tuple[int, int]
 
 # The constructor refuses larger tables before allocating its n^2 lists;
 # abelian:10, the largest built-in, has 2^10 simples and builds and
-# validates in about 2 s.
+# validates in about 0.7 s.
 MAX_SIMPLES = 1024
 
 
@@ -47,16 +47,25 @@ class GarsideTable:
     (Dehornoy et al., Foundations of Garside Theory, ch. VI), so the
     constructor takes only the names, the unit, D and the products
     ``{(u, v): w}`` that are again simple (unit products are implied), and
-    derives everything else once: one loop over the product fills the left
-    and right quotient tables and the divisor bitsets, the meets are the
-    maxima of the common divisor sets, sigma(u) = u\\D, sigma^-1(v) = D/v,
-    phi = (sigma o sigma)^-1 and phi^-1 = sigma o sigma. It raises
-    StructureError when two products collide, cancellation fails, a pair
-    of simples has no greatest common divisor on either side, or a simple
-    has no complement. The unit laws, cancellation, balance (every simple
-    divides D on both sides), the meets, the complement and phi =
-    (sigma o sigma)^-1 therefore hold for every table; what the derived
-    tables cannot show, `structures.validate_table` checks.
+    derives the left-hand tables once: one loop over the product fills the
+    left quotient table and the left divisor bitsets, the meets are the
+    maxima of the common divisor sets, sigma(u) = u\\D, phi = (sigma o
+    sigma)^-1, and their inverse permutations. It raises StructureError
+    when two products collide, left cancellation fails, a pair of simples
+    has no greatest common left divisor, a simple has no complement, sigma
+    is not injective or the product has a cycle. What the derived tables
+    cannot show, `structures.validate_table` checks.
+
+    No right-hand table is stored: `reversed()` runs this constructor on
+    the transposed product, and on every table `structures.load_table`
+    accepts it succeeds (theorem). Take left cancellation, left meets and
+    sigma a permutation (checked here) and partial associativity
+    (validated). If u v = u' v = w, then sigma(u) = v sigma(w) = sigma(u'),
+    so u = u': right cancellation holds. And u x = u' iff sigma(u) =
+    x sigma(u'), so sigma is an order anti-isomorphism from <=_L to <=_R,
+    and the right meets are the images of the left joins, which exist by
+    the theorem in `validate_table`. An unvalidated table has no such
+    promise: its `reversed()` may raise StructureError.
 
     The divisor bitsets hold bit p for the simple at position p of the order
     ``sorted(range(n), key=lambda s: (grade[s], -s))``. A proper divisor has
@@ -69,9 +78,10 @@ class GarsideTable:
     Each unordered pair costs one AND of two n-bit integers, not a scan.
 
     ``grade`` is the longest-chain length of each simple over the product.
-    It is additive (grade of a product is the sum of the grades whenever
-    the product is defined) on every table accepted by the validator; the
-    oracles order simples by it.
+    It is finite on every table the constructor accepts, and additive
+    (grade of a product is the sum of the grades whenever the product is
+    defined) on every table accepted by the validator; the oracles order
+    simples by it.
     """
 
     def __init__(
@@ -103,9 +113,10 @@ class GarsideTable:
             product[slot] = w
 
         # Grade = atom count, computed as the longest-chain fixed point: start
-        # non-units at 1 and push each product up to the sum of its factors. On
-        # a consistent table this converges to the additive length; the
-        # validator rejects tables where additivity still fails afterwards.
+        # non-units at 1 and push each product up to the sum of its factors. A
+        # chain has at most n simples, so without a cycle in the product the
+        # loop settles within n passes; the validator rejects tables where
+        # additivity still fails afterwards.
         grade = [1] * n
         grade[unit] = 0
         for _ in range(n + 1):
@@ -123,14 +134,11 @@ class GarsideTable:
         for pos, s in enumerate(order):
             bit[s] = 1 << pos
 
-        # Quotient tables: lquot[u][w] = v iff u*v = w, rquot[v][w] = u iff
-        # u*v = w; a second entry for one slot is a cancellation failure.
-        # Divisibility: u <=_L w iff some u*v = w (the cofactor of a simple
-        # divisor is itself simple, so one product suffices).
+        # lquot[u][w] = v iff u*v = w; a second entry for one slot is a
+        # cancellation failure. u <=_L w iff some u*v = w (the cofactor of a
+        # simple divisor is itself simple, so one product suffices).
         lquot = [-1] * (n * n)
-        rquot = [-1] * (n * n)
-        div_l = [0] * n  # bitset of left divisors of w
-        div_r = [0] * n
+        div = [0] * n  # bitset of left divisors of w
         for u in range(n):
             base = u * n
             for v in range(n):
@@ -142,37 +150,34 @@ class GarsideTable:
                         f"left cancellation fails at {simples[u]} * ? = {simples[w]}"
                     )
                 lquot[base + w] = v
-                if rquot[v * n + w] >= 0:
-                    raise StructureError(
-                        f"right cancellation fails at ? * {simples[v]} = {simples[w]}"
-                    )
-                rquot[v * n + w] = u
-                div_l[w] |= bit[u]
-                div_r[w] |= bit[v]
+                div[w] |= bit[u]
 
         # The meet is the common divisor at the top bit, provided every other
         # common divisor divides it. The common set always holds the unit,
         # and it is symmetric in u and v, so each unordered pair is read once.
         meet_l = [0] * (n * n)
-        meet_r = [0] * (n * n)
-        for side, div, meet in (("meet_l", div_l, meet_l), ("meet_r", div_r, meet_r)):
-            for u in range(n):
-                div_u = div[u]
-                for v in range(u + 1):
-                    common = div_u & div[v]
-                    best = order[common.bit_length() - 1]
-                    if common & ~div[best]:
-                        raise StructureError(
-                            f"{side}: common divisors have no maximum (not a lattice)"
-                        )
-                    meet[u * n + v] = meet[v * n + u] = best
+        for u in range(n):
+            div_u = div[u]
+            for v in range(u + 1):
+                common = div_u & div[v]
+                best = order[common.bit_length() - 1]
+                if common & ~div[best]:
+                    raise StructureError(
+                        "meet_l: common divisors have no maximum (not a lattice)"
+                    )
+                meet_l[u * n + v] = meet_l[v * n + u] = best
 
-        # sigma is injective by right cancellation, hence a permutation.
         sigma = [lquot[u * n + delta] for u in range(n)]
+        sigma_inv = [-1] * n
         for u in range(n):
             if sigma[u] < 0:
                 raise StructureError(f"no complement: {simples[u]} * ? = delta")
-        sigma_inv = [rquot[v * n + delta] for v in range(n)]
+            if sigma_inv[sigma[u]] >= 0:
+                raise StructureError(f"sigma is not injective: ? * {simples[sigma[u]]} = delta")
+            sigma_inv[sigma[u]] = u
+        # Last, so that a table the checks above refuse keeps their message.
+        if changed:
+            raise StructureError("the product has a cycle: the grade does not settle")
         phi = [sigma_inv[sigma_inv[u]] for u in range(n)]
 
         # The order of phi is the lcm of its cycle lengths.
@@ -194,18 +199,16 @@ class GarsideTable:
         self.delta = delta
         # An atom has no left divisor but the unit and itself.
         self.atoms = tuple(
-            s for s in range(n) if s != unit and not div_l[s] & ~(bit[unit] | bit[s])
+            s for s in range(n) if s != unit and not div[s] & ~(bit[unit] | bit[s])
         )
         self.grade = grade
         self._product = product
         self._meet_l = meet_l
-        self._meet_r = meet_r
         self._sigma = sigma
         self._sigma_inv = sigma_inv
         self._phi = phi
         self._phi_inv = [sigma[sigma[u]] for u in range(n)]
         self._lquot = lquot
-        self._rquot = rquot
         self.phi_order = phi_order
         self._phi_pow_cache: dict[int, list[int]] = {}
         self._reversed: GarsideTable | None = None
@@ -230,16 +233,9 @@ class GarsideTable:
     def meet_l(self, u: int, v: int) -> int:
         return self._meet_l[u * len(self.simples) + v]
 
-    def meet_r(self, u: int, v: int) -> int:
-        return self._meet_r[u * len(self.simples) + v]
-
     def left_divides(self, u: int, w: int) -> bool:
         """u <=_L w, both simple."""
         return self._meet_l[u * len(self.simples) + w] == u
-
-    def right_divides(self, u: int, w: int) -> bool:
-        """u <=_R w, both simple."""
-        return self._meet_r[u * len(self.simples) + w] == u
 
     def lquot(self, u: int, w: int) -> int:
         """The v with u*v = w; requires u <=_L w."""
@@ -277,32 +273,16 @@ class GarsideTable:
     def reversed(self) -> "GarsideTable":
         """The opposite structure: products reversed, left and right swapped.
 
-        The reversed table shares the underlying lists where possible and is
-        cached, so right-handed computations (right greedy forms, right
-        orthogonal forms) can reuse the left-handed machinery verbatim.
+        Built by the constructor from the transposed product and cached both
+        ways, so right-handed computations (right greedy forms, right
+        orthogonal forms) reuse the left-handed machinery verbatim. See the
+        class docstring for when it raises StructureError.
         """
         if self._reversed is None:
             n = len(self.simples)
-            rev = GarsideTable.__new__(GarsideTable)
-            rev.name = self.name + "~rev"
-            rev.simples = self.simples
-            rev.unit = self.unit
-            rev.delta = self.delta
-            rev.atoms = self.atoms
-            rev.grade = self.grade
-            rev._product = [
-                self._product[v * n + u] for u in range(n) for v in range(n)
-            ]
-            rev._meet_l = self._meet_r
-            rev._meet_r = self._meet_l
-            rev._sigma = self._sigma_inv
-            rev._sigma_inv = self._sigma
-            rev._phi = self._phi_inv
-            rev._phi_inv = self._phi
-            rev._lquot = self._rquot
-            rev._rquot = self._lquot
-            rev.phi_order = self.phi_order
-            rev._phi_pow_cache = {}
+            # Slot k = u*n + v holds u*v, which is v*u in the reversed table.
+            transposed = {(k % n, k // n): w for k, w in enumerate(self._product) if w >= 0}
+            rev = GarsideTable(self.name + "~rev", self.simples, self.unit, self.delta, transposed)
             rev._reversed = self
             self._reversed = rev
         return self._reversed

@@ -75,7 +75,7 @@ def make_parabolic(table: GarsideTable, delta_sub: int) -> ParabolicData:
 
     n = table.n_simples
     left = {u for u in range(n) if table.left_divides(u, delta_sub)}
-    right = {u for u in range(n) if table.right_divides(u, delta_sub)}
+    right = {table.lquot(u, delta_sub) for u in left}
     if left != right:
         raise StructureError(
             f"parabolic: {table.display(delta_sub)} is not balanced"

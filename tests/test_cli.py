@@ -566,11 +566,19 @@ def test_expression_exit_codes_fuzz(capsys, monkeypatch, pair, command, tokens, 
             st.just("--max-len"), st.integers(-3, 3).map(str),
             st.just("--bound"), st.integers(-2, 6).map(str),
         ),
+        # `automaton` with each export off, to stdout, to a file or to an
+        # unwritable path (FILE and MISSING stand for paths under tmp_path).
+        st.tuples(
+            st.sampled_from([(), ("--dot", "-"), ("--dot", "FILE"), ("--dot", "MISSING")]),
+            st.sampled_from([(), ("--table", "-"), ("--table", "FILE"), ("--table", "MISSING")]),
+        ).map(lambda exports: ("automaton",) + exports[0] + exports[1]),
     ),
 )
-def test_option_exit_codes_fuzz(capsys, monkeypatch, pair, options):
+def test_option_exit_codes_fuzz(capsys, monkeypatch, tmp_path, pair, options):
     monkeypatch.setenv("GARSIDE_BUDGET", str(FUZZ_BUDGET))
     structure, parabolic = pair
+    paths = {"FILE": str(tmp_path / "out.txt"), "MISSING": str(tmp_path / "missing" / "out.txt")}
+    options = tuple(paths.get(word, word) for word in options)
     code, out, err = run(capsys, "--structure", structure, "--parabolic", parabolic, *options)
     assert "Traceback" not in out + err
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_BUDGET)
@@ -587,6 +595,12 @@ def test_option_exit_codes_fuzz(capsys, monkeypatch, pair, options):
             assert code == EXIT_ERROR and out == ""
     elif options[0] == "series":
         assert code == EXIT_OK
+    elif options[0] == "automaton":
+        if paths["MISSING"] in options:
+            assert code == EXIT_ERROR and out == ""
+            assert err.startswith(f"error: cannot write file {paths['MISSING']!r}: ")
+        else:
+            assert code == EXIT_OK and out.startswith("automaton: ")
     elif int(options[2]) < 0 or int(options[4]) < 0:
         # A negative radius or bound is refused before any work.
         assert code == EXIT_ERROR and out == ""

@@ -211,6 +211,21 @@ def test_two_complements_rejected():
         load_table(cyclic_text(3) + "a1 a3 = D\n")
 
 
+def test_shared_complement_rejected():
+    # a b = b b = D: b is the complement of both a and b.
+    text = "simples: 1 a b D\ndelta: D\na b = D\nb b = D\n"
+    with pytest.raises(StructureError, match=r"sigma is not injective: \? \* b = delta"):
+        load_table(text)
+
+
+def test_product_cycle_rejected():
+    # a b = c and c b = a: the grade of a and c grows on every pass. Left
+    # cancellation, the left meets and sigma (a <-> c, b -> b) all hold.
+    text = "simples: 1 a b c D\ndelta: D\na b = c\nc b = a\na c = D\nc a = D\nb b = D\n"
+    with pytest.raises(StructureError, match="the product has a cycle"):
+        load_table(text)
+
+
 def test_divisor_set_without_maximum_rejected():
     # p = a c = b d and q = a d = b c: the common left divisors of p and q
     # are 1, a and b, which have no maximum.
@@ -268,11 +283,21 @@ def _divisors(t, left):
     return div
 
 
+def _assert_meets(meet, div, text):
+    """meet(u, v) is the greatest element of div[u] & div[v] for every pair."""
+    for u in range(len(div)):
+        for v in range(len(div)):
+            m = meet(u, v)
+            common = div[u] & div[v]
+            assert m in common and common <= div[m], text
+
+
 def test_mutated_tables_build_only_consistent_lattices():
     # Seeded product-line mutations of saved tables. On every mutant the
-    # constructor accepts, the meets are greatest common divisors read off
-    # the product, sigma and phi satisfy their definitions, and a valid
-    # table has a unique join for every pair.
+    # constructor accepts, the left meets are greatest common divisors read
+    # off the product and sigma and phi satisfy their definitions. A valid
+    # table has a unique join for every pair, and its reversed table builds
+    # and holds the right meets.
     rng = random.Random(20261018)
     sources = [mutation_source(d) for d in MUTATION_SOURCES]
     built = valid = 0
@@ -284,12 +309,7 @@ def test_mutated_tables_build_only_consistent_lattices():
             continue
         built += 1
         n = t.n_simples
-        for meet, div in ((t.meet_l, _divisors(t, True)), (t.meet_r, _divisors(t, False))):
-            for u in range(n):
-                for v in range(n):
-                    m = meet(u, v)
-                    common = div[u] & div[v]
-                    assert m in common and common <= div[m], text
+        _assert_meets(t.meet_l, _divisors(t, True), text)
         for u in range(n):
             assert t.product(u, t.sigma(u)) == t.delta, text
             assert t.phi(t.sigma(t.sigma(u))) == u, text
@@ -298,6 +318,7 @@ def test_mutated_tables_build_only_consistent_lattices():
             for u in range(n):
                 for v in range(n):
                     O.join_l(t, u, v)
+            _assert_meets(t.reversed().meet_l, _divisors(t, False), text)
     assert built > 300 and valid > 150
 
 
@@ -307,8 +328,13 @@ def test_mutated_tables_build_only_consistent_lattices():
 DIFFERENTIAL_SOURCES = MUTATION_SOURCES + ("abelian:4",)
 # SHA-256 over what the constructor makes of each of the 3200 mutants of
 # seed 20261018: its error message, or everything it derives. Frozen from
-# the constructor that found each meet by a linear scan in grade order.
-MUTANT_OUTCOMES_SHA256 = "455bb82e58dddfc8a740dd939c8cee2804ba8089ab3fd0ecf13f1521a79d2b0d"
+# the constructor that derives only the left-hand tables; it differs from
+# the one that also derived the right-hand tables on the 535 mutants that
+# one refused for right cancellation or right meets.
+MUTANT_OUTCOMES_SHA256 = "70b7d2d5b724e3321a1c68c533e5cfe22c5cfa3d7b5ab9693c4513b9cb4d6ccd"
+# SHA-256 of the indices of the mutants `load_table` accepts, frozen from
+# the constructor that also derived and checked the right-hand tables.
+MUTANTS_LOADED_SHA256 = "50c28b25e61970344012be72f02af4c596aa7731ac1619a1c9153e56f1d57686"
 
 
 def _derived(t):
@@ -320,7 +346,6 @@ def _derived(t):
         t.grade,
         [t.product(u, v) for u, v in pairs],
         [t.meet_l(u, v) for u, v in pairs],
-        [t.meet_r(u, v) for u, v in pairs],
         [t.sigma(u) for u in range(n)],
         [t.phi(u) for u in range(n)],
     ))
@@ -338,13 +363,45 @@ def test_validator_agrees_with_dense_twin_on_builtins(descriptor):
         assert validate_table(table) == O.dense_validate_table(table) == []
 
 
+# SHA-256 of every derived field of the reversed table of braid:2-5,
+# dihedral:3-20 and abelian:1-6, frozen from the reversed table that was
+# copied field by field from the right-hand tables.
+REVERSED_PINNED_SHA256 = "bd624dea0c37b6c3e5a5152874734a214bbd591bcdb10eea645d0959163689cd"
+
+
+def test_reversed_tables_pinned():
+    digest = hashlib.sha256()
+    for descriptor in (
+        [f"braid:{n}" for n in range(2, 6)]
+        + [f"dihedral:{m}" for m in range(3, 21)]
+        + [f"abelian:{n}" for n in range(1, 7)]
+    ):
+        r = table_from_descriptor(descriptor).reversed()
+        n = r.n_simples
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        fields = repr((
+            r.atoms,
+            r.grade,
+            [r.product(u, v) for u, v in pairs],
+            [r.meet_l(u, v) for u, v in pairs],
+            [r.sigma(u) for u in range(n)],
+            [r.phi(u) for u in range(n)],
+            [r.lquot(u, w) if r.left_divides(u, w) else -1 for u, w in pairs],
+            r.phi_order,
+        ))
+        digest.update(f"{descriptor} {fields}\n".encode())
+    assert digest.hexdigest() == REVERSED_PINNED_SHA256
+
+
 def test_validator_and_constructor_on_mutants():
     # On every mutant the constructor accepts, the sparse validator returns
-    # the n^3 twin's list; and the constructor accepts, derives and refuses
-    # exactly as the scan-based constructor did.
+    # the n^3 twin's list; the constructor accepts, derives and refuses as
+    # pinned; and the loader accepts the same mutants as the constructor
+    # that checked both hands.
     rng = random.Random(20261018)
     sources = [mutation_source(d) for d in DIFFERENTIAL_SOURCES]
     outcomes = hashlib.sha256()
+    loaded = hashlib.sha256()
     built = valid = 0
     for k in range(3200):
         text = mutate_products(sources[k % len(sources)], rng)
@@ -358,8 +415,16 @@ def test_validator_and_constructor_on_mutants():
         assert violations == O.dense_validate_table(t), text
         built += 1
         valid += not violations
-    assert (built, valid) == (438, 265)
+        if not violations:
+            # load_table also refuses conflicting lines; _build_unvalidated merges them.
+            try:
+                load_table(text)
+            except StructureError:
+                continue
+            loaded.update(f"{k}\n".encode())
+    assert (built, valid) == (469, 265)
     assert outcomes.hexdigest() == MUTANT_OUTCOMES_SHA256
+    assert loaded.hexdigest() == MUTANTS_LOADED_SHA256
 
 
 B3_TEXT = """\
