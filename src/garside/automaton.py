@@ -24,6 +24,7 @@ from .kernel import (
     SignedLetter,
     format_letter,
     greedy_letters,
+    may_follow,
     normalize,
 )
 from .parabolic import ParabolicData
@@ -78,7 +79,11 @@ _cache: "weakref.WeakKeyDictionary[GarsideTable, dict[int, CosetAutomaton]]" = (
 
 
 def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
-    """Populate the transition table from the six letter-pair rules."""
+    """Populate the transition table.
+
+    The start row holds the initial reducedness tests, and the row of each
+    letter state is `kernel.may_follow`, the rule the ball walk reads too.
+    """
     if p.table is not table:
         raise StructureError("parabolic data belongs to a different table")
     per_table = _cache.setdefault(table, {})
@@ -104,24 +109,13 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
         sv = table.sigma(v)
         return table.meet_l(sv, d_sub) == unit and not table.left_divides(omega, sv)
 
-    def admit(prev: SignedLetter, nxt: SignedLetter) -> bool:
-        u, es = prev
-        v, et = nxt
-        if es == 1 and et == 1:
-            return table.meet_l(table.sigma(u), v) == unit
-        if es == 1 and et == -1:
-            return False
-        if es == -1 and et == 1:
-            return table.meet_l(u, v) == unit
-        return table.meet_l(table.sigma(v), u) == unit
-
     for j, letter in enumerate(alphabet):
         if admit_initial(letter):
             transition[START * n_letters + j] = 2 + j
     for i, prev in enumerate(alphabet):
         base = (2 + i) * n_letters
         for j, nxt in enumerate(alphabet):
-            if admit(prev, nxt):
+            if may_follow(table, prev, nxt):
                 transition[base + j] = 2 + j
 
     aut = CosetAutomaton(

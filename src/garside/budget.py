@@ -31,6 +31,7 @@ class Budget:
     def charge(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
+            self.used = self.limit + 1  # as if charged one node at a time
             raise BudgetExceededError(
                 f"enumeration budget exceeded ({self.used} > {self.limit} nodes); "
                 f"raise {_ENV_VAR} to continue"

@@ -15,7 +15,7 @@ lg(Hx)}, because h^-1 x runs over Hx as h runs over H.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, DomainError, StructureError
@@ -29,6 +29,7 @@ from .kernel import (
     has_left_divisor,
     identity,
     invert,
+    may_follow,
     multiply,
     simple,
     strip_left_simple,
@@ -64,26 +65,19 @@ def coset_representative(x: Element, p: ParabolicData) -> Element:
     For x in the positive monoid it is the N-reduced part after stripping
     the tail. Otherwise write x = a * D^-q, strip the tail of a, and while
     the complement w still left-divides the remainder, absorb one factor of
-    delta_sub into H (which lowers q by one) and strip again. The result is
-    checked to be reduced and to differ from x by an element of H.
+    delta_sub into H (which lowers q by one) and strip again. That the
+    result is reduced and in H x is the paper's transversal theorem, so it
+    is not re-checked here.
     """
-    t = x.table
     if x.delta_power >= 0:
-        theta = tail_split(x, p)[1]
-    else:
-        q = -x.delta_power
-        c = tail_split(right_delta_positive_part(x), p)[1]
-        while q >= 1 and has_left_divisor(c, p.omega):
-            c = conjugate_by_delta(strip_left_simple(c, p.omega), 1)
-            q -= 1
-            c = tail_split(c, p)[1]
-        theta = multiply(c, delta_power(t, -q))
-
-    if not is_hn_reduced(theta, p):
-        raise StructureError("coset representative failed the reducedness check")
-    if not element_in_subgroup(multiply(x, invert(theta)), p):
-        raise StructureError("coset representative left the coset")
-    return theta
+        return tail_split(x, p)[1]
+    q = -x.delta_power
+    c = tail_split(right_delta_positive_part(x), p)[1]
+    while q >= 1 and has_left_divisor(c, p.omega):
+        c = conjugate_by_delta(strip_left_simple(c, p.omega), 1)
+        q -= 1
+        c = tail_split(c, p)[1]
+    return multiply(c, delta_power(x.table, -q))
 
 
 def coset_length(x: Element, p: ParabolicData) -> int:
@@ -95,22 +89,35 @@ def coset_length(x: Element, p: ParabolicData) -> int:
 
 
 def _ball(
-    table: GarsideTable, gens: list[Element], radius: int, budget: Budget
-) -> dict[Element, int]:
-    """BFS ball with distances, in discovery order; one budget charge per edge."""
-    dist = {identity(table): 0}
-    frontier = [identity(table)]
-    for step in range(1, radius + 1):
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                budget.charge()
-                y = multiply(x, g)
-                if y not in dist:
-                    dist[y] = step
-                    nxt.append(y)
-        frontier = nxt
-    return dist
+    table: GarsideTable, simples: Sequence[int], radius: int, budget: Budget
+) -> list[Element]:
+    """The ball of the given radius over the signed letters of `simples`.
+
+    Theorem: over every non-unit simple of G, or of div(delta_sub) for a
+    parabolic H, this yields {h in H : lg(h) <= radius} (H = G in the first
+    case; lg is the length of G), each element once, in length order, and
+    the letter count of its word is `length()`. Proof: the walk extends each
+    word by the letters `kernel.may_follow` admits, so it lists each
+    symmetric greedy word over these letters once, from its prefix. That
+    word is geodesic (Charney, Math. Ann. 1995; Dehornoy et al., Foundations
+    of Garside Theory), and for h in H it uses letters of H only (Godelle,
+    J. Algebra 2007; see `element_in_subgroup`). So lg_H = lg on H, too.
+    The budget is charged |letters| per element shorter than the radius,
+    the edge count of a BFS.
+    """
+    letters = [(s, e) for s in simples for e in (1, -1)]
+    gens = _signed_generators(table, simples)
+    steps = [
+        [(j, gens[j]) for j, v in enumerate(letters) if may_follow(table, u, v)]
+        for u in letters
+    ]
+    ball = [identity(table)]
+    frontier = [(identity(table), list(enumerate(gens)))]
+    for _ in range(radius):
+        budget.charge(len(letters) * len(frontier))
+        frontier = [(multiply(x, g), steps[j]) for x, after in frontier for j, g in after]
+        ball.extend(y for y, _ in frontier)
+    return ball
 
 
 def _signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Element]:
@@ -123,7 +130,8 @@ def min_set(x: Element, p: ParabolicData, budget: Budget | None = None) -> list[
 
     Every shortest element is beta * theta with theta the representative and
     beta in H; then lg(beta) <= lg(beta theta) + lg(theta^-1) = 2 lg(theta),
-    so scanning the H-ball of radius 2 lg(theta) is complete.
+    lg the length of G. `_ball` over div(delta_sub) yields exactly these
+    beta, each once (theorem there), so the scan is complete.
     """
     return _min_set(coset_representative(x, p), p, ensure_budget(budget))
 
@@ -131,13 +139,11 @@ def min_set(x: Element, p: ParabolicData, budget: Budget | None = None) -> list[
 def _min_set(theta: Element, p: ParabolicData, budget: Budget) -> list[Element]:
     """`min_set` of the coset whose representative is theta."""
     level = theta.length()
-    gens = _signed_generators(p.table, p.generator_simples())
-    members = {
-        cand
-        for beta in _ball(p.table, gens, 2 * level, budget)
-        if (cand := multiply(beta, theta)).length() == level
-    }
-    return sorted(members, key=Element.sort_key)
+    members = (
+        multiply(beta, theta)
+        for beta in _ball(p.table, p.generator_simples(), 2 * level, budget)
+    )
+    return sorted((g for g in members if g.length() == level), key=Element.sort_key)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,7 +260,7 @@ def fellow_projection_audit(
         return got
 
     try:
-        ball = _ball(t, [g for _, g in steps], max_len, budget)
+        ball = _ball(t, simples, max_len, budget)
         audited: set[frozenset[Element]] = set()
         for alpha in sorted(ball, key=Element.sort_key):
             pa = proj(alpha)

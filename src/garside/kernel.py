@@ -660,6 +660,20 @@ def greedy_letters(x: Element) -> tuple[SignedLetter, ...]:
     return tuple(letters)
 
 
+def may_follow(table: GarsideTable, prev: SignedLetter, nxt: SignedLetter) -> bool:
+    """Whether nxt may follow prev in a symmetric greedy word.
+
+    The words passing this at every pair are the `greedy_letters` words of
+    x = b^-1 a: b and a greedy, their heads, and so b and a, meeting trivially.
+    """
+    (u, eu), (v, ev) = prev, nxt
+    if eu == 1:
+        return ev == 1 and table.meet_l(table.sigma(u), v) == table.unit
+    if ev == 1:
+        return table.meet_l(u, v) == table.unit
+    return table.meet_l(table.sigma(v), u) == table.unit
+
+
 def right_greedy_letters(x: Element) -> tuple[SignedLetter, ...]:
     """Right greedy normal form as signed letters, positive letters first."""
     return greedy_letters(to_reversed(x))[::-1]

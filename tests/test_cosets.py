@@ -1,7 +1,10 @@
 """Transversal, minimal lengths, projections, audits and certificates."""
 
+import random
+
 import pytest
 
+from garside import cosets as C
 from garside import kernel as K
 from garside import oracle as O
 from garside.budget import Budget
@@ -16,9 +19,9 @@ from garside.cosets import (
     projection_diameter,
     right_delta_positive_part,
 )
-from garside.errors import DomainError, StructureError
-from garside.parabolic import d_k, make_parabolic
-from garside.structures import build_braid, build_dihedral, table_from_descriptor
+from garside.errors import BudgetExceededError, DomainError, StructureError
+from garside.parabolic import d_k, element_in_subgroup, make_parabolic
+from garside.structures import table_from_descriptor
 
 from conftest import positives_up_to
 
@@ -86,6 +89,26 @@ def test_representative_is_coset_invariant(b3, b3_parabolic, b3_ball4):
         rep = coset_representative(x, p)
         for beta in betas:
             assert coset_representative(K.multiply(beta, x), p) == rep
+
+
+def test_representative_is_reduced_and_in_the_coset():
+    # The transversal theorem, which coset_representative relies on without
+    # re-checking: theta is reduced and x theta^-1 lies in H, on every
+    # proper parabolic of the census for random words and a ball of G.
+    rng = random.Random(20261019)
+    for p in proper_parabolics(CENSUS_STRUCTURES):
+        t = p.table
+        simples = [s for s in range(t.n_simples) if s != t.unit]
+        letters = [(s, e) for s in simples for e in (1, -1)]
+        xs = [
+            K.normalize(t, [rng.choice(letters) for _ in range(rng.randint(0, 12))])
+            for _ in range(40)
+        ]
+        xs += C._ball(t, simples, 2 if len(simples) < 20 else 1, Budget(10**7))
+        for x in xs:
+            theta = coset_representative(x, p)
+            assert is_hn_reduced(theta, p), (p, x)
+            assert element_in_subgroup(K.multiply(x, K.invert(theta)), p), (p, x)
 
 
 def oracle_partition_agrees(table, p, radius):
@@ -222,6 +245,67 @@ def test_projection_abelian_values(z2):
         assert set(ps.members) == want and dist == k
 
 
+# -- the ball walk ------------------------------------------------------------
+
+
+def assert_walk_is_bfs(t, simples, radius):
+    """`_ball` against the BFS over the same letters: one element per
+    distance-labelled BFS entry, in length order, with the same charge."""
+    walk_budget, bfs_budget = Budget(10**7), Budget(10**7)
+    got = C._ball(t, simples, radius, walk_budget)
+    want = O.subgroup_ball(t, simples, radius, bfs_budget)
+    assert len(got) == len(set(got)) == len(want)
+    assert {x: x.length() for x in got} == want
+    lengths = [x.length() for x in got]
+    assert lengths == sorted(lengths)
+    inner = sum(1 for n in lengths if n < radius)
+    assert walk_budget.used == bfs_budget.used == 2 * len(simples) * inner
+
+
+def test_ball_walk_on_census_parabolics():
+    # The H-ball of every proper parabolic of the census at radius 4: the
+    # theorem in `_ball`, and with it lg_H = lg_G on H.
+    parabolics = proper_parabolics(CENSUS_STRUCTURES)
+    assert len(parabolics) == 16 + 2 + 6 + 14
+    for p in parabolics:
+        assert_walk_is_bfs(p.table, p.generator_simples(), 4)
+
+
+def test_ball_walk_b4_aba_radius_6():
+    t = table_from_descriptor("braid:4")
+    p = make_parabolic(t, t.simples.index("aba"))
+    assert_walk_is_bfs(t, p.generator_simples(), 6)
+
+
+@pytest.mark.parametrize("descriptor, radius", [("braid:3", 4), ("dihedral:4", 4)])
+def test_ball_walk_over_the_group(descriptor, radius):
+    t = table_from_descriptor(descriptor)
+    simples = [s for s in range(t.n_simples) if s != t.unit]
+    ball = O.bfs_lengths(t, radius, Budget(10**7))
+    got = C._ball(t, simples, radius, Budget(10**7))
+    assert len(got) == len(ball.dist)
+    assert {x: x.length() for x in got} == ball.dist
+
+
+@pytest.mark.parametrize("limit", [0, 9, 10, 11, 109, 110, 111, 449, 450, 451])
+def test_ball_walk_stops_where_the_bfs_stops(limit):
+    # braid:4/aba at radius 3 has 1, 10 and 34 elements shorter than the
+    # radius and 10 letters, so a full ball costs 10, 110 and then 450.
+    # The first node past the limit raises and leaves used at limit + 1.
+    t = table_from_descriptor("braid:4")
+    simples = make_parabolic(t, t.simples.index("aba")).generator_simples()
+    outcomes = []
+    for ball in (C._ball, O.subgroup_ball):
+        budget = Budget(limit)
+        try:
+            ball(t, simples, 3, budget)
+            outcomes.append(("done", budget.used))
+        except BudgetExceededError:
+            outcomes.append(("exceeded", budget.used))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (("done", 450) if limit >= 450 else ("exceeded", limit + 1))
+
+
 # -- compatibility of products with the transversal --------------------------------
 
 
@@ -351,10 +435,14 @@ def test_unbounded_witness_refuses_improper(b3):
         bounded_projection_witness(p, 1)
 
 
-def proper_parabolics():
-    """Every proper parabolic of braid:3-4 and dihedral:3-6."""
+WITNESS_STRUCTURES = ("braid:3", "braid:4", "dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6")
+CENSUS_STRUCTURES = WITNESS_STRUCTURES + ("abelian:2", "abelian:3", "abelian:4")
+
+
+def proper_parabolics(descriptors=WITNESS_STRUCTURES):
+    """Every proper parabolic of the given structures."""
     out = []
-    for t in [build_braid(3), build_braid(4)] + [build_dihedral(m) for m in (3, 4, 5, 6)]:
+    for t in map(table_from_descriptor, descriptors):
         for s in range(t.n_simples):
             if s in (t.unit, t.delta):
                 continue

@@ -238,7 +238,10 @@ def _build_unvalidated(text):
     """The table of a structure file, as load_table builds it, without validation."""
     sf = parse_structure_text(text)
     i = {s: k for k, s in enumerate(sf.simples)}
-    products = {(i[u], i[v]): i[w] for u, v, w in sf.products}
+    products = {}
+    for u, v, w in sf.products:
+        if products.setdefault((i[u], i[v]), i[w]) != i[w]:
+            raise StructureError(f"conflicting products for {u} * {v}")
     return GarsideTable(sf.name, sf.simples, i["1"], i[sf.delta], products)
 
 
@@ -328,10 +331,10 @@ def test_mutated_tables_build_only_consistent_lattices():
 DIFFERENTIAL_SOURCES = MUTATION_SOURCES + ("abelian:4",)
 # SHA-256 over what the constructor makes of each of the 3200 mutants of
 # seed 20261018: its error message, or everything it derives. Frozen from
-# the constructor that derives only the left-hand tables; it differs from
-# the one that also derived the right-hand tables on the 535 mutants that
-# one refused for right cancellation or right meets.
-MUTANT_OUTCOMES_SHA256 = "70b7d2d5b724e3321a1c68c533e5cfe22c5cfa3d7b5ab9693c4513b9cb4d6ccd"
+# the constructor that derives only the left-hand tables, with the 495
+# mutants that repeat a product line with another value refused as
+# `load_table` refuses them (462 built, 264 valid).
+MUTANT_OUTCOMES_SHA256 = "149e041e44047c9004c0126f6147e95bfd08eddb22105a97774de02d4fe32bb8"
 # SHA-256 of the indices of the mutants `load_table` accepts, frozen from
 # the constructor that also derived and checked the right-hand tables.
 MUTANTS_LOADED_SHA256 = "50c28b25e61970344012be72f02af4c596aa7731ac1619a1c9153e56f1d57686"
@@ -396,8 +399,8 @@ def test_reversed_tables_pinned():
 def test_validator_and_constructor_on_mutants():
     # On every mutant the constructor accepts, the sparse validator returns
     # the n^3 twin's list; the constructor accepts, derives and refuses as
-    # pinned; and the loader accepts the same mutants as the constructor
-    # that checked both hands.
+    # pinned; and the loader accepts exactly the valid mutants, the same
+    # ones as the constructor that checked both hands.
     rng = random.Random(20261018)
     sources = [mutation_source(d) for d in DIFFERENTIAL_SOURCES]
     outcomes = hashlib.sha256()
@@ -416,13 +419,9 @@ def test_validator_and_constructor_on_mutants():
         built += 1
         valid += not violations
         if not violations:
-            # load_table also refuses conflicting lines; _build_unvalidated merges them.
-            try:
-                load_table(text)
-            except StructureError:
-                continue
+            load_table(text)
             loaded.update(f"{k}\n".encode())
-    assert (built, valid) == (469, 265)
+    assert (built, valid) == (462, 264)
     assert outcomes.hexdigest() == MUTANT_OUTCOMES_SHA256
     assert loaded.hexdigest() == MUTANTS_LOADED_SHA256
 
