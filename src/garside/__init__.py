@@ -32,7 +32,6 @@ from .parabolic import (
     is_n_reduced,
     make_parabolic,
     omega_i,
-    tail,
     tail_split,
 )
 from .cosets import (
@@ -42,16 +41,13 @@ from .cosets import (
     coset_representative,
     fellow_projection_audit,
     is_hn_reduced,
-    min_set,
     projection,
     projection_diameter,
 )
 from .automaton import (
     CosetAutomaton,
     build_automaton,
-    element_to_word,
     enumerate_accepted,
-    word_to_element,
 )
 from .growth import RationalSeries, rational_series, transfer_counts
 from .structures import (

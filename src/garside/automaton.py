@@ -7,26 +7,16 @@ greedy conditions together with the initial reducedness tests, so the
 accepted language maps bijectively onto the transversal, letter count equal
 to element length. Letters are actual simples, so every transition predicate
 is a table lookup and the whole machine is a dense integer table, built
-eagerly and cached per (table, parabolic) pair.
+eagerly and cached on the table, one per parabolic.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import weakref
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .cosets import is_hn_reduced
 from .errors import DomainError, StructureError
-from .kernel import (
-    Element,
-    GarsideTable,
-    SignedLetter,
-    format_letter,
-    greedy_letters,
-    may_follow,
-    normalize,
-)
+from .kernel import GarsideTable, SignedLetter, format_letter, may_follow
 from .parabolic import ParabolicData
 
 START = 0
@@ -73,11 +63,6 @@ class CosetAutomaton:
         return format_letter(self.table, self.alphabet[state - 2])
 
 
-_cache: "weakref.WeakKeyDictionary[GarsideTable, dict[int, CosetAutomaton]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
     """Populate the transition table.
 
@@ -86,8 +71,7 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
     """
     if p.table is not table:
         raise StructureError("parabolic data belongs to a different table")
-    per_table = _cache.setdefault(table, {})
-    cached = per_table.get(p.delta_sub)
+    cached = table._acceptors.get(p.delta_sub)
     if cached is not None:
         return cached
 
@@ -125,7 +109,7 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
         transition=transition,
         letter_index=letter_index,
     )
-    per_table[p.delta_sub] = aut
+    table._acceptors[p.delta_sub] = aut
     return aut
 
 
@@ -152,26 +136,6 @@ def enumerate_accepted(aut: CosetAutomaton, n: int) -> list[tuple[SignedLetter, 
 
     walk(START, n)
     return out
-
-
-def word_to_element(aut: CosetAutomaton, word: Sequence[SignedLetter]) -> Element:
-    """Evaluate a word to its canonical group element."""
-    return normalize(aut.table, word)
-
-
-def element_to_word(aut: CosetAutomaton, theta: Element) -> tuple[SignedLetter, ...]:
-    """The accepted word spelling a transversal element.
-
-    The word is the left greedy normal form read with inverse letters first;
-    elements outside the transversal have no accepted spelling and are
-    refused.
-    """
-    if not is_hn_reduced(theta, aut.parabolic):
-        raise DomainError("element is not a reduced coset representative")
-    word = greedy_letters(theta)
-    if not aut.accepts(word):
-        raise StructureError("normal form word rejected by the automaton")
-    return word
 
 
 # -- exports -----------------------------------------------------------------

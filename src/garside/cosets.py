@@ -62,22 +62,26 @@ def is_hn_reduced(x: Element, p: ParabolicData) -> bool:
 def coset_representative(x: Element, p: ParabolicData) -> Element:
     """The reduced representative of the coset H x.
 
-    For x in the positive monoid it is the N-reduced part after stripping
-    the tail. Otherwise write x = a * D^-q, strip the tail of a, and while
-    the complement w still left-divides the remainder, absorb one factor of
-    delta_sub into H (which lowers q by one) and strip again. That the
-    result is reduced and in H x is the paper's transversal theorem, so it
-    is not re-checked here.
+    Write x = a * D^-q with q = 0 for x positive, strip the N-tail of a once,
+    and while q >= 1 and the complement w left-divides the remainder c,
+    absorb one factor of delta_sub into H: c = w c' becomes phi(c'), and q
+    drops by one. That the result is reduced and in H x is the paper's
+    transversal theorem, so it is not re-checked here.
+
+    Lemma: phi(c') is N-reduced again, so one tail strip suffices. Proof:
+    let 1 != u <= delta_sub with u <= phi(c'), and y = u\\delta_sub, so
+    y != delta_sub. From u y w = delta_sub w = D follows w phi^-1(u) =
+    sigma(y), and phi^-1(u) <= c' gives sigma(y) <= w c' = c. By balance
+    y <=_L delta_sub, so z = y\\delta_sub != 1 divides delta_sub, and
+    y z = delta_sub <= D = y sigma(y) gives z <= sigma(y) <= c, against
+    delta_sub meet c = 1.
     """
-    if x.delta_power >= 0:
-        return tail_split(x, p)[1]
-    q = -x.delta_power
-    c = tail_split(right_delta_positive_part(x), p)[1]
-    while q >= 1 and has_left_divisor(c, p.omega):
+    q = max(0, -x.delta_power)
+    c = tail_split(right_delta_positive_part(x) if q else x, p)[1]
+    while q and has_left_divisor(c, p.omega):
         c = conjugate_by_delta(strip_left_simple(c, p.omega), 1)
         q -= 1
-        c = tail_split(c, p)[1]
-    return multiply(c, delta_power(x.table, -q))
+    return multiply(c, delta_power(x.table, -q)) if q else c
 
 
 def coset_length(x: Element, p: ParabolicData) -> int:
@@ -125,19 +129,14 @@ def _signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Elem
     return [g for s in simples for g in (simple(table, s), invert(simple(table, s)))]
 
 
-def min_set(x: Element, p: ParabolicData, budget: Budget | None = None) -> list[Element]:
-    """All shortest elements of the coset H x, sorted canonically.
-
-    Every shortest element is beta * theta with theta the representative and
-    beta in H; then lg(beta) <= lg(beta theta) + lg(theta^-1) = 2 lg(theta),
-    lg the length of G. `_ball` over div(delta_sub) yields exactly these
-    beta, each once (theorem there), so the scan is complete.
-    """
-    return _min_set(coset_representative(x, p), p, ensure_budget(budget))
-
-
 def _min_set(theta: Element, p: ParabolicData, budget: Budget) -> list[Element]:
-    """`min_set` of the coset whose representative is theta."""
+    """All shortest elements of the coset H theta, theta its representative.
+
+    Every shortest element is beta * theta with beta in H; then lg(beta) <=
+    lg(beta theta) + lg(theta^-1) = 2 lg(theta), lg the length of G.
+    `_ball` over div(delta_sub) yields exactly these beta, each once
+    (theorem there), so the scan is complete and lists each element once.
+    """
     level = theta.length()
     members = (
         multiply(beta, theta)
@@ -166,16 +165,12 @@ class ProjectionSet:
 def projection(x: Element, p: ParabolicData, budget: Budget | None = None) -> ProjectionSet:
     """Projection of x onto H: x * gamma^-1 over the shortest coset elements.
 
-    The map gamma -> x gamma^-1 is a bijection from the shortest elements of
-    H x onto the projection set, so the sizes must agree; this is asserted.
+    The map gamma -> x gamma^-1 is injective by cancellation, and `_min_set`
+    lists each gamma once, so the members are distinct without a check.
     """
     theta = coset_representative(x, p)
     shortest = _min_set(theta, p, ensure_budget(budget))
-    members = sorted(
-        {multiply(x, invert(g)) for g in shortest}, key=Element.sort_key
-    )
-    if len(members) != len(shortest):
-        raise StructureError("projection map failed to be injective")
+    members = sorted((multiply(x, invert(g)) for g in shortest), key=Element.sort_key)
     return ProjectionSet(base=x, members=tuple(members), distance=theta.length())
 
 

@@ -211,6 +211,8 @@ class GarsideTable:
         self._lquot = lquot
         self.phi_order = phi_order
         self._phi_pow_cache: dict[int, list[int]] = {}
+        # Coset acceptors by delta_sub, filled by `automaton.build_automaton`.
+        self._acceptors: dict[int, object] = {}
         self._reversed: GarsideTable | None = None
 
     # -- basic accessors ---------------------------------------------------
@@ -458,19 +460,20 @@ def _normalize_factors(table: GarsideTable, factors: list[int]) -> tuple[int, tu
     return d, tuple(work[d:])
 
 
-def _from_signed(table: GarsideTable, letters: Iterable[SignedLetter], tail_delta: int = 0) -> Element:
-    """Canonical element of letters[0] ... letters[-1] * D^tail_delta.
+def normalize(table: GarsideTable, word: Iterable[SignedLetter]) -> Element:
+    """Canonical form of a signed word over the simples.
 
     Negative letters are rewritten with u^-1 = D^-1 * phi(sigma(u)); one
     right-to-left pass commutes the D powers to the front with phi twists,
-    and the remaining positive sequence is normalised.
+    and the remaining positive sequence is normalised. Each letter's id is
+    checked, since words come from callers.
     """
     phi = table._phi
     sigma = table._sigma
     factors: list[int] = []
-    power = tail_delta
-    twist = table._phi_perm(-power)
-    for s, sign in reversed(list(letters)):
+    power = 0
+    twist = table._phi_perm(0)
+    for s, sign in reversed(list(word)):
         table.check_simple(s)
         if sign == 1:
             factors.append(twist[s])
@@ -483,11 +486,6 @@ def _from_signed(table: GarsideTable, letters: Iterable[SignedLetter], tail_delt
     factors.reverse()
     d, body = _normalize_factors(table, factors)
     return _make(table, power + d, body)
-
-
-def normalize(table: GarsideTable, word: Iterable[SignedLetter]) -> Element:
-    """Canonical form of a signed word over the simples."""
-    return _from_signed(table, word)
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -506,10 +504,20 @@ def multiply(x: Element, y: Element) -> Element:
 
 
 def invert(x: Element) -> Element:
+    """The inverse by complements, with no normaliser pass.
+
+    Theorem: for x = D^p u_1 ... u_k in canonical form, x^-1 = D^-(p+k)
+    w_k ... w_1 with w_i = phi^(p+i)(sigma(u_i)), and that body is greedy.
+    Proof: u^-1 = sigma(u) D^-1 and y D^-m = D^-m phi^m(y), and sigma(u_i)
+    has i + p powers of D^-1 to its right. Each w_i is proper as u_i is.
+    sigma commutes with phi and sigma o sigma = phi^-1, so sigma(w_(i+1))
+    meet w_i = phi^(p+i)(u_(i+1) meet sigma(u_i)) = 1, because x is greedy.
+    """
     t = x.table
-    return _from_signed(
-        t, [(u, -1) for u in reversed(x.body)], tail_delta=-x.delta_power
-    )
+    p = x.delta_power
+    sigma = t._sigma
+    body = tuple(t._phi_perm(p + i)[sigma[u]] for i, u in reversed(list(enumerate(x.body, 1))))
+    return _make(t, -(p + len(body)), body)
 
 
 def conjugate_by_delta(x: Element, k: int = 1) -> Element:
@@ -588,10 +596,10 @@ class NormalFormView:
         t = self.table
         if self.variant is Form.LEFT_DELTA:
             p, body = self.payload
-            return multiply(delta_power(t, p), _from_signed(t, [(u, 1) for u in body]))
+            return multiply(delta_power(t, p), normalize(t, [(u, 1) for u in body]))
         if self.variant is Form.RIGHT_DELTA:
             body, p = self.payload
-            return multiply(_from_signed(t, [(u, 1) for u in body]), delta_power(t, p))
+            return multiply(normalize(t, [(u, 1) for u in body]), delta_power(t, p))
         if self.variant is Form.LEFT_ORTHOGONAL:
             b, a = self.payload
             return multiply(invert(b), a)
@@ -599,7 +607,7 @@ class NormalFormView:
             a, b = self.payload
             return multiply(a, invert(b))
         (letters,) = self.payload
-        return _from_signed(t, letters)
+        return normalize(t, letters)
 
 
 def left_orthogonal(x: Element) -> tuple[Element, Element]:

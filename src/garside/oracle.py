@@ -25,7 +25,10 @@ from typing import Iterable, Sequence
 from .automaton import START, CosetAutomaton
 from .budget import Budget, ensure_budget
 from .errors import DomainError, StructureError
-from .kernel import Element, GarsideTable, SignedLetter, identity, invert, multiply, simple
+from .cosets import is_hn_reduced, projection
+from .kernel import (
+    Element, GarsideTable, SignedLetter, greedy_letters, identity, invert, multiply, simple
+)
 from .parabolic import ParabolicData
 from .structures import BRAID_ATOM_LETTERS, MAX_VIOLATIONS
 
@@ -142,7 +145,7 @@ def greedy_word(table: GarsideTable, word: Sequence[int]) -> list[int]:
     return out
 
 
-def canonical_key(table: GarsideTable, letters: Iterable[SignedLetter], tail_delta: int = 0) -> Key:
+def canonical_key(table: GarsideTable, letters: Iterable[SignedLetter]) -> Key:
     """Oracle canonical form (delta power, greedy body) of a signed word."""
     factors: list[int] = []
     pre: list[int] = []
@@ -156,7 +159,7 @@ def canonical_key(table: GarsideTable, letters: Iterable[SignedLetter], tail_del
             pre.append(-1)
         else:
             raise StructureError(f"letter sign must be +1 or -1, got {sign!r}")
-    power = tail_delta
+    power = 0
     for i in range(len(factors) - 1, -1, -1):
         factors[i] = table.phi_pow(factors[i], -power)
         power += pre[i]
@@ -664,6 +667,31 @@ def brute_projection(
     dist = min(best.values())
     members = {beta for beta, d in best.items() if d == dist}
     return members, dist
+
+
+def min_set(x: Element, p: ParabolicData, budget: Budget | None = None) -> list[Element]:
+    """All shortest elements of the coset H x, sorted canonically.
+
+    They are gamma = m^-1 x over the members m of `cosets.projection`, which
+    are x gamma^-1 over exactly these gamma (completeness: `cosets._min_set`).
+    """
+    members = projection(x, p, budget).members
+    return sorted((multiply(invert(m), x) for m in members), key=Element.sort_key)
+
+
+def element_to_word(aut: CosetAutomaton, theta: Element) -> tuple[SignedLetter, ...]:
+    """The accepted word spelling a transversal element.
+
+    The word is the left greedy normal form read with inverse letters first;
+    elements outside the transversal have no accepted spelling and are
+    refused.
+    """
+    if not is_hn_reduced(theta, aut.parabolic):
+        raise DomainError("element is not a reduced coset representative")
+    word = greedy_letters(theta)
+    if not aut.accepts(word):
+        raise StructureError("normal form word rejected by the automaton")
+    return word
 
 
 # -- growth: dense twin of the transfer counts -----------------------------------

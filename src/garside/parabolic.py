@@ -20,6 +20,7 @@ from .kernel import (
     left_orthogonal,
     meet_with_simple,
     multiply,
+    normalize,
     simple,
     strip_left_simple,
 )
@@ -123,11 +124,6 @@ def tail_split(a: Element, p: ParabolicData) -> tuple[Element, Element]:
         c = strip_left_simple(c, x)
 
 
-def tail(a: Element, p: ParabolicData) -> Element:
-    """The N-tail of a positive element."""
-    return tail_split(a, p)[0]
-
-
 def is_n_reduced(a: Element, p: ParabolicData) -> bool:
     """Whether a positive element has trivial meet with delta_sub."""
     if a.delta_power < 0:
@@ -146,13 +142,21 @@ def omega_i(p: ParabolicData, i: int) -> int:
 
 
 def d_k(p: ParabolicData, k: int) -> Element:
-    """The product w_1 w_2 ... w_k; equal to delta_sub^-k * D^k."""
+    """The product w_1 w_2 ... w_k; equal to delta_sub^-k * D^k.
+
+    Theorem: the word w_1 ... w_k is already left greedy, so one normaliser
+    pass over it makes no transfer and only drops unit letters (all of them
+    for the improper parabolic, whose complement is the unit). Proof:
+    sigma commutes with phi and sigma(w) = sigma(sigma(delta_sub)) =
+    phi^-1(delta_sub), so sigma(w_i) meet w_(i+1) = phi^-i(delta_sub meet w).
+    Let x = delta_sub meet w. Then delta_sub x <= delta_sub w = D is simple,
+    and a product of divisors of delta_sub that is simple divides delta_sub
+    (divisor closure), so grade(delta_sub) + grade(x) <= grade(delta_sub)
+    and x = 1.
+    """
     if k < 0:
         raise DomainError("d_k requires k >= 0")
-    out = identity(p.table)
-    for i in range(1, k + 1):
-        out = multiply(out, simple(p.table, omega_i(p, i)))
-    return out
+    return normalize(p.table, [(omega_i(p, i), 1) for i in range(1, k + 1)])
 
 
 # -- membership ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,11 +6,13 @@ import pytest
 from garside import kernel as K
 from garside import oracle as O
 from garside.budget import Budget
+from garside.errors import StructureError
 from garside.parabolic import make_parabolic
 from garside.structures import (
     build_braid,
     build_dihedral,
     build_free_abelian,
+    load_table,
     save_table,
     table_from_descriptor,
 )
@@ -94,6 +97,37 @@ def cyclic_text(n):
     lines = [f"name: cyclic:{n}", "simples: 1 " + " ".join(names) + " D", "delta: D"]
     lines += [f"{names[i]} {names[(i + 1) % n]} = D" for i in range(n)]
     return "\n".join(lines) + "\n"
+
+
+# Structures the normal-form theorems are checked on: phi has order at most
+# 2 on the built-ins and order n on cyclic:n.
+THEOREM_STRUCTURES = (
+    "braid:3", "braid:4", "braid:5",
+    "dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6", "dihedral:7",
+    "abelian:2", "abelian:3", "abelian:4",
+    "cyclic:3", "cyclic:5", "cyclic:7",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def any_table(descriptor):
+    """A built-in structure, or cyclic:n loaded from its structure file."""
+    if descriptor.startswith("cyclic:"):
+        return load_table(cyclic_text(int(descriptor.partition(":")[2])))
+    return table_from_descriptor(descriptor)
+
+
+def all_parabolics(table):
+    """Every parabolic of the table, the improper one (delta_sub = D) included."""
+    out = []
+    for s in range(table.n_simples):
+        if s == table.unit:
+            continue
+        try:
+            out.append(make_parabolic(table, s))
+        except StructureError:
+            pass
+    return out
 
 
 # Saved tables that the mutation fuzzes start from.

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 from garside import kernel as K
 from garside import oracle as O
-from garside.automaton import build_automaton, enumerate_accepted, element_to_word, word_to_element
+from garside.automaton import build_automaton, enumerate_accepted
 from garside.budget import Budget
 from garside.cosets import (
     bounded_projection_witness,
@@ -19,7 +19,6 @@ from garside.cosets import (
     coset_representative,
     fellow_projection_audit,
     is_hn_reduced,
-    min_set,
     projection,
     projection_diameter,
     right_delta_positive_part,
@@ -102,11 +101,11 @@ def test_criterion_4_automaton_bijection():
             ball = O.bfs_lengths(table, 4, budget)
             for n in range(5):
                 words = enumerate_accepted(aut, n)
-                image = [word_to_element(aut, w) for w in words]
+                image = [K.normalize(aut.table, w) for w in words]
                 assert len(set(image)) == len(words)
                 for w, el in zip(words, image):
                     assert el.length() == n
-                    assert element_to_word(aut, el) == w
+                    assert O.element_to_word(aut, el) == w
                 assert set(image) == {
                     x for x in ball.elements_of_length(n) if is_hn_reduced(x, p)
                 }
@@ -256,11 +255,15 @@ def test_criterion_8_structural_sweeps(b3, b3_parabolic, b3_ball4):
                     pb = K.normalize(t, [(s, 1) for s in letters_b[-i:]])
                     assert K.multiply(pb, K.invert(pa)).delta_power >= 0
 
-        # Shortest-coset-element map onto the projection is a bijection.
+        # Shortest-coset-element map onto the projection is a bijection; the
+        # shortest elements come from a wide scan of H x, not from projection.
         for x, dist in b3_ball4.dist.items():
             if dist > 2:
                 continue
-            shortest = min_set(x, p, budget=budget)
+            radius = 2 * coset_length(x, p) + 2
+            coset = [K.multiply(beta, x) for beta in O.subgroup_ball(t, p.div_sorted, radius, budget)]
+            level = min(y.length() for y in coset)
+            shortest = [y for y in coset if y.length() == level]
             proj = projection(x, p, budget=budget)
             assert len(proj.members) == len(shortest)
             rebuilt = {K.multiply(x, K.invert(g)) for g in shortest}

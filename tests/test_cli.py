@@ -279,7 +279,17 @@ AUDIT_PINNED = [
 ]
 
 
-@pytest.mark.parametrize("structure,parabolic,radius,budget,code,head,digest", AUDIT_PINNED)
+def audit_pinned_id(case):
+    """The case's options, exit code and summary line, with no newline."""
+    structure, parabolic, radius, budget, code, head, _ = case
+    return f"{structure}-{parabolic}-{radius}-{budget}-{code}-{head.splitlines()[0]}"
+
+
+@pytest.mark.parametrize(
+    "structure,parabolic,radius,budget,code,head,digest",
+    AUDIT_PINNED,
+    ids=[audit_pinned_id(case) for case in AUDIT_PINNED],
+)
 def test_audit_csv_pinned(
     capsys, monkeypatch, tmp_path, structure, parabolic, radius, budget, code, head, digest
 ):

@@ -14,16 +14,15 @@ from garside.cosets import (
     coset_representative,
     fellow_projection_audit,
     is_hn_reduced,
-    min_set,
     projection,
     projection_diameter,
     right_delta_positive_part,
 )
-from garside.errors import BudgetExceededError, DomainError, StructureError
-from garside.parabolic import d_k, element_in_subgroup, make_parabolic
+from garside.errors import BudgetExceededError, DomainError
+from garside.parabolic import d_k, element_in_subgroup, is_n_reduced, make_parabolic, tail_split
 from garside.structures import table_from_descriptor
 
-from conftest import positives_up_to
+from conftest import THEOREM_STRUCTURES, all_parabolics, any_table, positives_up_to
 
 
 def transversal_elements(ball, p, max_len):
@@ -155,12 +154,12 @@ def test_coset_key_equality(b3, b3_parabolic):
 
 
 def test_min_set_identity(b3, b3_parabolic):
-    assert min_set(K.identity(b3.table), b3_parabolic) == [K.identity(b3.table)]
+    assert O.min_set(K.identity(b3.table), b3_parabolic) == [K.identity(b3.table)]
 
 
 def test_min_set_d1(b3, b3_parabolic):
     t, p = b3.table, b3_parabolic
-    assert min_set(d_k(p, 1), p) == sorted(
+    assert O.min_set(d_k(p, 1), p) == sorted(
         [K.simple(t, b3.ba), K.delta_power(t, 1)], key=K.Element.sort_key
     )
 
@@ -168,7 +167,7 @@ def test_min_set_d1(b3, b3_parabolic):
 def test_min_set_depends_only_on_coset(b3, b3_parabolic):
     # H D = H ba, so the two minimum sets coincide.
     t, p = b3.table, b3_parabolic
-    assert min_set(K.delta_power(t, 1), p) == min_set(K.simple(t, b3.ba), p)
+    assert O.min_set(K.delta_power(t, 1), p) == O.min_set(K.simple(t, b3.ba), p)
 
 
 def test_min_set_bound_saturation(b3, b3_parabolic, b3_ball4):
@@ -184,7 +183,7 @@ def test_min_set_bound_saturation(b3, b3_parabolic, b3_ball4):
         coset = [K.multiply(beta, x) for beta in h_ball]
         level = min(y.length() for y in coset)
         shortest = {y for y in coset if y.length() == level}
-        assert min_set(x, p) == sorted(shortest, key=K.Element.sort_key)
+        assert O.min_set(x, p) == sorted(shortest, key=K.Element.sort_key)
 
 
 def test_projection_examples(b3, b3_parabolic):
@@ -204,11 +203,18 @@ def test_projection_examples(b3, b3_parabolic):
 
 
 def test_projection_bijection_sizes(b3, b3_parabolic, b3_ball4):
+    # gamma -> x gamma^-1 is injective, so the members are distinct and as
+    # many as the shortest elements of H x, counted here by a wide H-scan.
     p = b3_parabolic
     for x, d in b3_ball4.dist.items():
         if d > 2:
             continue
-        assert len(projection(x, p).members) == len(min_set(x, p))
+        members = projection(x, p).members
+        h_ball = O.subgroup_ball(b3.table, p.div_sorted, 2 * coset_length(x, p) + 2)
+        coset = [K.multiply(beta, x) for beta in h_ball]
+        level = min(y.length() for y in coset)
+        assert len(set(members)) == len(members)
+        assert len(members) == sum(y.length() == level for y in coset)
 
 
 def test_projection_agrees_with_bruteforce(b3, b3_parabolic, b3_ball4):
@@ -441,16 +447,12 @@ CENSUS_STRUCTURES = WITNESS_STRUCTURES + ("abelian:2", "abelian:3", "abelian:4")
 
 def proper_parabolics(descriptors=WITNESS_STRUCTURES):
     """Every proper parabolic of the given structures."""
-    out = []
-    for t in map(table_from_descriptor, descriptors):
-        for s in range(t.n_simples):
-            if s in (t.unit, t.delta):
-                continue
-            try:
-                out.append(make_parabolic(t, s))
-            except StructureError:
-                pass
-    return out
+    return [
+        p
+        for t in map(table_from_descriptor, descriptors)
+        for p in all_parabolics(t)
+        if not p.improper
+    ]
 
 
 def test_unbounded_witness_agrees_with_bruteforce():
@@ -476,3 +478,28 @@ def test_unbounded_witness_searches_nothing(structure, name):
     cert = bounded_projection_witness(p, 100, Budget(0))
     assert cert.verified
     assert cert.element == d_k(p, 101)
+
+
+@pytest.mark.parametrize("descriptor", THEOREM_STRUCTURES)
+def test_absorbed_complement_leaves_n_reduced_remainder(descriptor):
+    # The lemma of `coset_representative`: once c = w c' is absorbed, phi(c')
+    # is N-reduced again, so the loop strips no second tail. Each x = a D^-q
+    # starts with d_j, so up to j complements are absorbed.
+    t = any_table(descriptor)
+    rng = random.Random(descriptor)
+    absorbed = 0
+    for p in all_parabolics(t):
+        for _ in range(30):
+            j = rng.randint(0, 4)
+            rest = K.normalize(t, [(rng.choice(t.atoms), 1) for _ in range(rng.randint(0, 8))])
+            shift = K.delta_power(t, -rng.randint(1, j + 2))
+            x = K.multiply(K.multiply(d_k(p, j), rest), shift)
+            q = max(0, -x.delta_power)
+            c = tail_split(right_delta_positive_part(x) if q else x, p)[1]
+            while q and K.has_left_divisor(c, p.omega):
+                c = K.conjugate_by_delta(K.strip_left_simple(c, p.omega), 1)
+                q -= 1
+                absorbed += 1
+                assert is_n_reduced(c, p)
+            assert coset_representative(x, p) == K.multiply(c, K.delta_power(t, -q))
+    assert absorbed > 0

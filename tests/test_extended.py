@@ -9,7 +9,7 @@ import pytest
 
 from garside import kernel as K
 from garside import oracle as O
-from garside.automaton import build_automaton, element_to_word, enumerate_accepted, word_to_element
+from garside.automaton import build_automaton, enumerate_accepted
 from garside.budget import Budget
 from garside.cosets import coset_length, coset_representative, fellow_projection_audit, is_hn_reduced
 from garside.growth import rational_series, transfer_counts
@@ -55,13 +55,13 @@ def test_rank2_automaton_bijection(b4, b4_sub):
     ball = O.bfs_lengths(b4, 2, Budget(10**7))
     for n in range(3):
         words = enumerate_accepted(aut, n)
-        image = [word_to_element(aut, w) for w in words]
+        image = [K.normalize(aut.table, w) for w in words]
         assert len(set(image)) == len(words)
         assert set(image) == {
             x for x in ball.elements_of_length(n) if is_hn_reduced(x, b4_sub)
         }
         for w, el in zip(words, image):
-            assert element_to_word(aut, el) == w
+            assert O.element_to_word(aut, el) == w
 
 
 def test_rank2_growth(b4, b4_sub):
@@ -108,7 +108,7 @@ def test_odd_dihedral_pipeline():
     assert rs.expand(20) == transfer_counts(aut, 20)
     ball = O.bfs_lengths(t, 2, Budget(10**7))
     for n in range(3):
-        got = {word_to_element(aut, w) for w in enumerate_accepted(aut, n)}
+        got = {K.normalize(aut.table, w) for w in enumerate_accepted(aut, n)}
         assert got == {x for x in ball.elements_of_length(n) if is_hn_reduced(x, p)}
 
 

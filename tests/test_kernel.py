@@ -1,6 +1,5 @@
 """Kernel tests: canonical forms, arithmetic, length, views, head meets."""
 
-import functools
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from garside.budget import Budget
 from garside.errors import DomainError, StructureError
 from garside.structures import build_braid, build_dihedral, table_from_descriptor
 
-from conftest import signed_letters, signed_words, positives_up_to
+from conftest import any_table, signed_letters, signed_words, positives_up_to
 
 
 # -- normalize ---------------------------------------------------------------
@@ -305,9 +304,8 @@ long_settings = settings(
 )
 
 
-@functools.lru_cache(maxsize=None)
-def long_table(descriptor):
-    return table_from_descriptor(descriptor)
+# phi has order n on cyclic:n, so a wrong D-power twist shows there.
+CYCLIC_STRUCTURES = ("cyclic:3", "cyclic:5", "cyclic:7")
 
 
 def atom_word(draw, table, signed, min_len=40, max_len=300):
@@ -339,7 +337,7 @@ def assert_views_canonical(x):
 @long_settings
 @given(data=st.data())
 def test_long_normalize_agrees_with_oracle(data):
-    t = long_table(data.draw(st.sampled_from(LONG_STRUCTURES)))
+    t = any_table(data.draw(st.sampled_from(LONG_STRUCTURES)))
     word = atom_word(data.draw, t, data.draw(st.booleans()))
     x = K.normalize(t, word)
     assert O.is_canonical(x)
@@ -350,7 +348,7 @@ def test_long_normalize_agrees_with_oracle(data):
 @long_settings
 @given(data=st.data())
 def test_long_multiply_agrees_with_oracle(data):
-    t = long_table(data.draw(st.sampled_from(LONG_STRUCTURES)))
+    t = any_table(data.draw(st.sampled_from(LONG_STRUCTURES)))
     signed = data.draw(st.booleans())
     w1 = atom_word(data.draw, t, signed, 20, 150)
     w2 = atom_word(data.draw, t, signed, 20, 150)
@@ -363,12 +361,29 @@ def test_long_multiply_agrees_with_oracle(data):
 @long_settings
 @given(data=st.data())
 def test_long_invert_agrees_with_oracle(data):
-    t = long_table(data.draw(st.sampled_from(LONG_STRUCTURES)))
+    t = any_table(data.draw(st.sampled_from(LONG_STRUCTURES + CYCLIC_STRUCTURES)))
     word = atom_word(data.draw, t, data.draw(st.booleans()))
     y = K.invert(K.normalize(t, word))
     assert O.is_canonical(y)
     assert key(y) == O.canonical_key(t, inverse_word(word))
     assert_views_canonical(y)
+
+
+@pytest.mark.parametrize("descriptor", LONG_STRUCTURES + CYCLIC_STRUCTURES)
+@pytest.mark.parametrize("p", [-4, -1, 0, 1, 3])
+def test_invert_by_complements_with_delta_powers(descriptor, p):
+    # invert builds D^-(p+k) w_k ... w_1 with no normaliser pass; the result
+    # must be canonical and equal the oracle form of the inverted letters.
+    t = any_table(descriptor)
+    rng = random.Random(f"{descriptor}:{p}")
+    for _ in range(6):
+        word = [(t.delta, 1 if p > 0 else -1)] * abs(p)
+        word += [(rng.choice(t.atoms), 1) for _ in range(rng.randint(0, 30))]
+        x = K.normalize(t, word)
+        y = K.invert(x)
+        assert O.is_canonical(y)
+        assert key(y) == O.canonical_key(t, inverse_word(word))
+        assert K.multiply(x, y).is_identity
 
 
 def spell(table, u):
@@ -413,7 +428,7 @@ def test_delta_forms_at_tail_and_travels_to_front(b3, m, k):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_long_greedy_body_then_delta(descriptor, sign):
     # One appended D crosses the whole body; D^-1 twists every factor.
-    t = long_table(descriptor)
+    t = any_table(descriptor)
     rng = random.Random(descriptor)
     word = [(rng.choice(t.atoms), 1) for _ in range(120)]
     x = K.normalize(t, word)
@@ -426,7 +441,7 @@ def test_long_greedy_body_then_delta(descriptor, sign):
 def test_braid4_products_of_delta_complements(pairs):
     # u.sigma(u) = D for every simple u, spelled in atoms, so the word equals
     # D^pairs; behind a greedy prefix each D cascades over the whole body.
-    t = long_table("braid:4")
+    t = any_table("braid:4")
     rng = random.Random(pairs)
     prefix = [(rng.choice(t.atoms), 1) for _ in range(30)]
     word = list(prefix)

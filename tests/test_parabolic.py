@@ -12,12 +12,11 @@ from garside.parabolic import (
     is_n_reduced,
     make_parabolic,
     omega_i,
-    tail,
     tail_split,
 )
 from garside.structures import build_free_abelian, load_table, table_from_descriptor
 
-from conftest import cyclic_text, positives_up_to
+from conftest import THEOREM_STRUCTURES, all_parabolics, any_table, cyclic_text, positives_up_to
 
 
 def n_elements_up_to(p, max_len):
@@ -125,7 +124,7 @@ def test_tail_product_recomposes(b3, b3_parabolic, b3_ball4):
 def test_tail_agrees_with_bruteforce(b3, b3_parabolic, b3_ball4):
     # The head-stripping tail equals the definition-level maximum N-divisor.
     for x in positives_up_to(b3_ball4, 3):
-        assert tail(x, b3_parabolic) == O.brute_tail(
+        assert tail_split(x, b3_parabolic)[0] == O.brute_tail(
             x, b3_parabolic.div_sorted, Budget(10**7)
         )
 
@@ -253,3 +252,20 @@ def test_improper_abelian_case():
     p = make_parabolic(z1, z1.delta)
     assert p.improper
     assert d_k(p, 3).is_identity  # the complement is trivial
+
+
+@pytest.mark.parametrize("descriptor", THEOREM_STRUCTURES)
+def test_d_k_word_is_greedy_as_written(descriptor):
+    # The letters w_1 ... w_k are the greedy body of d_k, no transfer made,
+    # and d_k equals the product of its letters, for every parabolic.
+    t = any_table(descriptor)
+    for p in all_parabolics(t):
+        product = K.identity(t)
+        for k in range(1, 13):
+            product = K.multiply(product, K.simple(t, omega_i(p, k)))
+            d = d_k(p, k)
+            assert d == product
+            assert O.is_canonical(d)
+            letters = tuple(omega_i(p, i) for i in range(1, k + 1))
+            assert d.delta_power == 0
+            assert d.body == (() if p.improper else letters)
