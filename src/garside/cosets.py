@@ -5,8 +5,8 @@ D-form a * D^p has an N-reduced positive part and either p = 0, or p < 0 and
 the complement w does not left-divide a. These reduced elements form a
 transversal of H in G, one per right-coset, and each has minimal length in
 its coset; `coset_representative` computes the representative
-constructively. On top of that sit the metric operations: the set of
-shortest elements of a coset, the projection of an element onto H, its
+constructively. On top of that sit the metric operations: the projection
+of an element onto H, read off the shortest elements of its coset, its
 diameter, the fellow-projection audit and the certificate that projections
 are unbounded. Membership needs no search: proj(x) = {h in H : lg(h^-1 x) =
 lg(Hx)}, because h^-1 x runs over Hx as h runs over H.
@@ -31,6 +31,7 @@ from .kernel import (
     invert,
     may_follow,
     multiply,
+    right_delta_positive_part,
     simple,
     strip_left_simple,
 )
@@ -41,11 +42,6 @@ from .parabolic import (
     is_n_reduced,
     tail_split,
 )
-
-
-def right_delta_positive_part(x: Element) -> Element:
-    """The positive part a of the right D-form x = a * D^p."""
-    return conjugate_by_delta(Element(x.table, 0, x.body), x.delta_power)
 
 
 def is_hn_reduced(x: Element, p: ParabolicData) -> bool:
@@ -77,7 +73,7 @@ def coset_representative(x: Element, p: ParabolicData) -> Element:
     delta_sub meet c = 1.
     """
     q = max(0, -x.delta_power)
-    c = tail_split(right_delta_positive_part(x) if q else x, p)[1]
+    c = tail_split(right_delta_positive_part(x) if q else x, p)
     while q and has_left_divisor(c, p.omega):
         c = conjugate_by_delta(strip_left_simple(c, p.omega), 1)
         q -= 1
@@ -129,22 +125,6 @@ def _signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Elem
     return [g for s in simples for g in (simple(table, s), invert(simple(table, s)))]
 
 
-def _min_set(theta: Element, p: ParabolicData, budget: Budget) -> list[Element]:
-    """All shortest elements of the coset H theta, theta its representative.
-
-    Every shortest element is beta * theta with beta in H; then lg(beta) <=
-    lg(beta theta) + lg(theta^-1) = 2 lg(theta), lg the length of G.
-    `_ball` over div(delta_sub) yields exactly these beta, each once
-    (theorem there), so the scan is complete and lists each element once.
-    """
-    level = theta.length()
-    members = (
-        multiply(beta, theta)
-        for beta in _ball(p.table, p.generator_simples(), 2 * level, budget)
-    )
-    return sorted((g for g in members if g.length() == level), key=Element.sort_key)
-
-
 @dataclasses.dataclass(frozen=True)
 class ProjectionSet:
     """The nearest H-elements to a base element, with their common distance."""
@@ -165,13 +145,19 @@ class ProjectionSet:
 def projection(x: Element, p: ParabolicData, budget: Budget | None = None) -> ProjectionSet:
     """Projection of x onto H: x * gamma^-1 over the shortest coset elements.
 
-    The map gamma -> x gamma^-1 is injective by cancellation, and `_min_set`
-    lists each gamma once, so the members are distinct without a check.
+    With theta the representative, every shortest element is gamma = beta *
+    theta with beta in H, and lg(beta) <= lg(beta theta) + lg(theta^-1) =
+    2 lg(theta), lg the length of G. `_ball` over div(delta_sub) yields
+    exactly these beta, each once (theorem there), so the scan is complete.
+    The members are x gamma^-1 = h beta^-1 with h = x theta^-1, and beta ->
+    h beta^-1 is injective by cancellation, so they are distinct unchecked.
     """
     theta = coset_representative(x, p)
-    shortest = _min_set(theta, p, ensure_budget(budget))
-    members = sorted((multiply(x, invert(g)) for g in shortest), key=Element.sort_key)
-    return ProjectionSet(base=x, members=tuple(members), distance=theta.length())
+    level = theta.length()
+    h = multiply(x, invert(theta))
+    ball = _ball(p.table, p.generator_simples(), 2 * level, ensure_budget(budget))
+    members = [multiply(h, invert(b)) for b in ball if multiply(b, theta).length() == level]
+    return ProjectionSet(x, tuple(sorted(members, key=Element.sort_key)), level)
 
 
 def projection_diameter(x: Element, p: ParabolicData, budget: Budget | None = None) -> int:
@@ -229,6 +215,9 @@ def fellow_projection_audit(
     one projection set must have a partner in the other within the bound.
     The worst distance observed and its witness are reported. If the node
     budget runs out the report is returned flagged as partial.
+    Each edge is audited from its end that sorts first, as the loop reaches
+    it first; both directions read one distance table, since lg(a^-1 b) =
+    lg(b^-1 a), and take the first nearest partner.
     """
     if max_len < 0:
         raise DomainError("the audit radius must be at least 0")
@@ -256,27 +245,23 @@ def fellow_projection_audit(
 
     try:
         ball = _ball(t, simples, max_len, budget)
-        audited: set[frozenset[Element]] = set()
         for alpha in sorted(ball, key=Element.sort_key):
             pa = proj(alpha)
+            key = alpha.sort_key()
             for (s, e), step in steps:
                 alpha_u = multiply(alpha, step)
-                edge = frozenset((alpha, alpha_u))
-                if edge in audited:
+                if alpha_u.length() <= max_len and alpha_u.sort_key() < key:
                     continue
-                audited.add(edge)
                 pb = proj(alpha_u)
-                for base, letter, src, dst in (
-                    (alpha, (s, e), pa, pb),
-                    (alpha_u, (s, -e), pb, pa),
+                dist = [[multiply(invert(a), b).length() for b in pb] for a in pa]
+                for base, letter, src, dst, dists in (
+                    (alpha, (s, e), pa, pb, dist),
+                    (alpha_u, (s, -e), pb, pa, list(zip(*dist))),
                 ):
-                    for beta in src:
+                    for beta, ds in zip(src, dists):
                         budget.charge()
-                        inv = invert(beta)
-                        distance, partner = min(
-                            ((multiply(inv, b2).length(), b2) for b2 in dst),
-                            key=lambda pair: pair[0],
-                        )
+                        distance = min(ds)
+                        partner = dst[ds.index(distance)]
                         row = AuditRow(base, letter, beta, partner, distance)
                         rows.append(row)
                         if distance > k_obs:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .automaton import START, SINK, CosetAutomaton
-from .errors import DomainError, StructureError
+from .errors import DomainError
 
 
 # -- transfer counts -----------------------------------------------------------
@@ -174,27 +174,26 @@ def _berlekamp_massey(seq: Sequence[int]) -> list[Fraction]:
 
 
 def rational_series(aut: CosetAutomaton) -> RationalSeries:
-    """Minimal rational form of the growth series.
+    """Minimal rational form of the growth series, from 2d counted terms.
 
-    With d lumped live classes the series has linear complexity at most d
-    (see the module docstring), so Berlekamp-Massey on e(0..2d-1) returns
-    the lowest-terms denominator Q, and the numerator is (Q * e) mod t^d.
-    The expansion is then compared with e(0..2d+1); a mismatch means the
-    counts broke that bound and raises StructureError.
+    Theorem: with d lumped live classes, Berlekamp-Massey on e(0..2d-1)
+    returns the lowest-terms denominator Q exactly, and the numerator P is
+    (Q * e) mod t^d. Proof: the series is N/det(I - tL) with deg N < d (see
+    the module docstring), so its lowest-terms form P/Q, Q(0) = 1, has
+    linear complexity L = max(deg Q, deg P + 1) <= d. On 2d >= 2L terms the
+    shortest connection polynomial is unique and is Q (Massey 1969), and
+    deg P < L <= d. So nothing is left to check against further terms.
     """
     rows = _lumped_rows(aut)
     d = len(rows)
-    seq = _count(rows, 2 * d + 1)
-    den = poly_trim([int(c) for c in _berlekamp_massey(seq[: 2 * d])])
+    seq = _count(rows, 2 * d - 1)
+    den = poly_trim([int(c) for c in _berlekamp_massey(seq)])
     num = poly_trim(
         [sum(den[i] * seq[n - i] for i in range(min(n + 1, len(den)))) for n in range(d)]
     )
-    series = RationalSeries(
+    return RationalSeries(
         numerator=num,
         denominator=den,
         recurrence=tuple(-c for c in den[1:]),
         guard=len(num) - 1 if num else 0,
     )
-    if series.expand(2 * d + 1) != seq:
-        raise StructureError("rational form disagrees with the transfer counts")
-    return series

@@ -526,6 +526,12 @@ def conjugate_by_delta(x: Element, k: int = 1) -> Element:
     return _make(x.table, x.delta_power, tuple(twist[u] for u in x.body))
 
 
+def right_delta_positive_part(x: Element) -> Element:
+    """The positive part a of the right D-form x = a * D^p: phi^p of the body."""
+    twist = x.table._phi_perm(x.delta_power)
+    return _make(x.table, 0, tuple(twist[u] for u in x.body))
+
+
 # -- head meets ------------------------------------------------------------
 
 
@@ -693,9 +699,7 @@ def view(x: Element, variant: Form) -> NormalFormView:
     if variant is Form.LEFT_DELTA:
         payload: tuple = (x.delta_power, x.body)
     elif variant is Form.RIGHT_DELTA:
-        p = x.delta_power
-        twist = t._phi_perm(p)
-        payload = (tuple(twist[u] for u in x.body), p)
+        payload = (right_delta_positive_part(x).body, x.delta_power)
     elif variant is Form.LEFT_ORTHOGONAL:
         payload = left_orthogonal(x)
     elif variant is Form.RIGHT_ORTHOGONAL:

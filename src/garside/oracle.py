@@ -673,7 +673,7 @@ def min_set(x: Element, p: ParabolicData, budget: Budget | None = None) -> list[
     """All shortest elements of the coset H x, sorted canonically.
 
     They are gamma = m^-1 x over the members m of `cosets.projection`, which
-    are x gamma^-1 over exactly these gamma (completeness: `cosets._min_set`).
+    are x gamma^-1 over exactly these gamma (completeness is proved there).
     """
     members = projection(x, p, budget).members
     return sorted((multiply(invert(m), x) for m in members), key=Element.sort_key)

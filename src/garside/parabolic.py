@@ -3,7 +3,7 @@
 A parabolic substructure is selected by one balanced simple d; its divisors
 generate the parabolic subgroup H and submonoid N. This module validates the
 choice (balance, divisor closure) and provides the machinery the transversal
-is built from: the N-tail of a positive element, N-reducedness, the
+is built from: the N-tail strip of a positive element, N-reducedness, the
 complement w = d^-1 D, the twisted complements w_i = phi^(1-i)(w) and their
 products d_k = w_1 ... w_k (which satisfy delta_sub^k * d_k = D^k exactly).
 """
@@ -16,10 +16,8 @@ from .errors import DomainError, StructureError
 from .kernel import (
     Element,
     GarsideTable,
-    identity,
     left_orthogonal,
     meet_with_simple,
-    multiply,
     normalize,
     simple,
     strip_left_simple,
@@ -104,24 +102,19 @@ def make_parabolic(table: GarsideTable, delta_sub: int) -> ParabolicData:
 # -- tails ------------------------------------------------------------------
 
 
-def tail_split(a: Element, p: ParabolicData) -> tuple[Element, Element]:
-    """Split a positive element as a = b * c with b the N-tail, c N-reduced.
+def tail_split(a: Element, p: ParabolicData) -> Element:
+    """The N-reduced part c of a positive element a = b * c, b its N-tail.
 
     Works by iterated head stripping: while the meet of the remainder with
-    delta_sub is non-trivial, peel it off into b. Each step removes positive
+    delta_sub is non-trivial, strip it. The stripped simples multiply to b,
+    which no caller needs, so it is not built. Each step removes positive
     grade, so the loop terminates.
     """
     if a.delta_power < 0:
         raise DomainError("tail_split requires a positive element")
-    t = p.table
-    b = identity(t)
-    c = a
-    while True:
-        x = meet_with_simple(c, p.delta_sub)
-        if x == t.unit:
-            return b, c
-        b = multiply(b, simple(t, x))
-        c = strip_left_simple(c, x)
+    while (x := meet_with_simple(a, p.delta_sub)) != p.table.unit:
+        a = strip_left_simple(a, x)
+    return a
 
 
 def is_n_reduced(a: Element, p: ParabolicData) -> bool:

@@ -21,7 +21,6 @@ from garside.cosets import (
     is_hn_reduced,
     projection,
     projection_diameter,
-    right_delta_positive_part,
 )
 from garside.growth import rational_series, transfer_counts
 from garside.parabolic import d_k, is_n_reduced, make_parabolic
@@ -226,7 +225,7 @@ def test_criterion_8_structural_sweeps(b3, b3_parabolic, b3_ball4):
         n_pos = [x for x in n_monoid_short]
         for theta in thetas_neg:
             ppow = -theta.delta_power
-            c = right_delta_positive_part(theta)
+            c = K.right_delta_positive_part(theta)
             for b in n_pos:
                 assert K.multiply(b, theta).delta_power == -ppow
                 if K.has_left_divisor(b, p.delta_sub):

@@ -1,6 +1,7 @@
 """Transversal, minimal lengths, projections, audits and certificates."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,6 @@ from garside.cosets import (
     is_hn_reduced,
     projection,
     projection_diameter,
-    right_delta_positive_part,
 )
 from garside.errors import BudgetExceededError, DomainError
 from garside.parabolic import d_k, element_in_subgroup, is_n_reduced, make_parabolic, tail_split
@@ -54,11 +54,6 @@ def test_is_hn_reduced_examples(b3, b3_parabolic):
     a_dinv = K.normalize(t, [(b3.a, 1), (b3.D, -1)])
     assert not is_hn_reduced(a_dinv, p)
     assert not is_hn_reduced(K.delta_power(t, 1), p)  # positive D power
-
-
-def test_right_delta_positive_part(b3):
-    x = K.normalize(b3.table, [(b3.b, 1), (b3.a, -1)])
-    assert right_delta_positive_part(x).body == (b3.b, b3.ba)
 
 
 # -- representatives -----------------------------------------------------------
@@ -217,17 +212,24 @@ def test_projection_bijection_sizes(b3, b3_parabolic, b3_ball4):
         assert len(members) == sum(y.length() == level for y in coset)
 
 
-def test_projection_agrees_with_bruteforce(b3, b3_parabolic, b3_ball4):
-    p = b3_parabolic
-    for x, d in sorted(b3_ball4.dist.items(), key=lambda kv: kv[0].sort_key()):
-        if d > 2:
-            continue
-        got = projection(x, p)
-        want, dist = O.brute_projection(
-            x, p.div_sorted, 2 * coset_length(x, p) + 2, Budget(10**7)
-        )
-        assert set(got.members) == want
-        assert got.distance == dist
+def test_projection_agrees_with_bruteforce():
+    # On every parabolic of five structures, for x of length at most 3.
+    # Members m satisfy lg(m) <= lg(x) + lg(Hx), so that scan radius is
+    # complete. H = G for the improper parabolic, whose scan is the whole
+    # ball of G; it is kept to lg(x) <= 2 to bound the test's time.
+    for descriptor in ("braid:3", "dihedral:4", "abelian:3", "cyclic:3", "cyclic:5"):
+        t = any_table(descriptor)
+        ball = O.bfs_lengths(t, 3, Budget(10**7)).dist
+        for p in all_parabolics(t):
+            for x, n in ball.items():
+                if p.improper and n > 2:
+                    continue
+                got = projection(x, p)
+                want, dist = O.brute_projection(
+                    x, p.div_sorted, n + got.distance, Budget(10**7)
+                )
+                assert list(got.members) == sorted(want, key=K.Element.sort_key)
+                assert got.distance == dist
 
 
 def test_projection_diameter_examples(b3, b3_parabolic):
@@ -383,7 +385,7 @@ def test_right_delta_form_of_full_subgroup_multiple():
         assert n_elements
         for theta in thetas:
             ppow = -theta.delta_power
-            c = right_delta_positive_part(theta)
+            c = K.right_delta_positive_part(theta)
             for b in n_elements:
                 for k in (1, 2):
                     beta = K.multiply(b, p.delta_element() ** -k)
@@ -412,6 +414,64 @@ def test_fellow_audit_len1(b3, b3_parabolic):
     # Every row's claimed best distance really is achievable.
     for row in report.rows[:50]:
         assert K.multiply(K.invert(row.beta), row.best_partner).length() == row.distance
+
+
+def reference_audit(p, max_len):
+    """The audit rows from an explicit edge set, each direction by its own min.
+
+    Returns the rows as tuples and the number of rows each edge gives.
+    """
+    t = p.table
+    letters = [(s, e) for s in range(t.n_simples) if s != t.unit for e in (1, -1)]
+    ball = O.bfs_lengths(t, max_len, Budget(10**7)).dist
+    proj: dict[K.Element, tuple[K.Element, ...]] = {}
+    rows, edges = [], {}
+    for alpha in sorted(ball, key=K.Element.sort_key):
+        for s, e in letters:
+            alpha_u = K.multiply(alpha, K.normalize(t, [(s, e)]))
+            edge = frozenset((alpha, alpha_u))
+            if edge in edges:
+                continue
+            for x in (alpha, alpha_u):
+                if x not in proj:
+                    proj[x] = projection(x, p).members
+            edges[edge] = len(proj[alpha]) + len(proj[alpha_u])
+            for base, letter, src, dst in (
+                (alpha, (s, e), proj[alpha], proj[alpha_u]),
+                (alpha_u, (s, -e), proj[alpha_u], proj[alpha]),
+            ):
+                for beta in src:
+                    distance, partner = min(
+                        ((K.multiply(K.invert(beta), b2).length(), b2) for b2 in dst),
+                        key=lambda pair: pair[0],
+                    )
+                    rows.append((base, letter, beta, partner, distance))
+    return rows, edges
+
+
+@pytest.mark.parametrize(
+    "descriptor, name, max_radius",
+    [("braid:3", "a", 2), ("dihedral:4", "s", 2), ("braid:4", "aba", 1), ("cyclic:3", "a1", 2)],
+)
+def test_fellow_audit_agrees_with_edge_set(descriptor, name, max_radius):
+    # The audit skips an edge when its other end is in the ball and sorts
+    # first, and reads both directions off one distance table. The reference
+    # remembers every edge and takes each direction's min on its own. Each
+    # edge with an end in the ball must give its rows once, in the same order.
+    t = any_table(descriptor)
+    p = make_parabolic(t, t.simples.index(name))
+    for radius in range(max_radius + 1):
+        report = fellow_projection_audit(p, radius, budget=Budget(10**8))
+        assert not report.partial
+        want_rows, want_edges = reference_audit(p, radius)
+        got = [(r.alpha, r.letter, r.beta, r.best_partner, r.distance) for r in report.rows]
+        assert got == want_rows
+        edges = Counter(
+            frozenset((r.alpha, K.multiply(r.alpha, K.normalize(t, [r.letter]))))
+            for r in report.rows
+        )
+        assert edges == want_edges
+        assert report.k_observed == max((r[4] for r in want_rows), default=0)
 
 
 def test_fellow_audit_abelian(z2):
@@ -495,7 +555,7 @@ def test_absorbed_complement_leaves_n_reduced_remainder(descriptor):
             shift = K.delta_power(t, -rng.randint(1, j + 2))
             x = K.multiply(K.multiply(d_k(p, j), rest), shift)
             q = max(0, -x.delta_power)
-            c = tail_split(right_delta_positive_part(x) if q else x, p)[1]
+            c = tail_split(K.right_delta_positive_part(x) if q else x, p)
             while q and K.has_left_divisor(c, p.omega):
                 c = K.conjugate_by_delta(K.strip_left_simple(c, p.omega), 1)
                 q -= 1

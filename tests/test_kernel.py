@@ -193,6 +193,24 @@ def test_right_delta_view(b3):
     assert body == (b3.b, b3.ba)  # b.a^-1 = (b.ba) D^-1
 
 
+def test_right_delta_positive_part(b3):
+    # x = a * D^p with a = phi^p(body), built unchecked: a must be canonical,
+    # and phi has order n on cyclic:n, so D powers of both signs twist by
+    # every power of phi. The RIGHT_DELTA view is (a.body, p).
+    x = K.normalize(b3.table, [(b3.b, 1), (b3.a, -1)])
+    assert K.right_delta_positive_part(x).body == (b3.b, b3.ba)
+    for descriptor in ("cyclic:3", "cyclic:5", "cyclic:7"):
+        t = any_table(descriptor)
+        rng = random.Random(descriptor)
+        for shift in range(-9, 10):
+            word = [(rng.choice(t.atoms), 1) for _ in range(rng.randint(1, 8))]
+            x = K.multiply(K.normalize(t, word), K.delta_power(t, shift))
+            a = K.right_delta_positive_part(x)
+            assert a.delta_power == 0 and O.is_canonical(a)
+            assert K.multiply(a, K.delta_power(t, x.delta_power)) == x
+            assert K.view(x, K.Form.RIGHT_DELTA).payload == (a.body, x.delta_power)
+
+
 def test_left_orthogonal_of_b_ainv(b3):
     x = K.normalize(b3.table, [(b3.b, 1), (b3.a, -1)])
     b, a = K.view(x, K.Form.LEFT_ORTHOGONAL).payload

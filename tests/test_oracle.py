@@ -104,7 +104,7 @@ def test_full_agreement_on_stated_balls(b3, b3_parabolic, b3_ball4, i24, i24_par
     radius-4 three-strand ball and the radius-3 balls of dihedral:4,
     dihedral:3 and abelian:2."""
     from garside.cosets import coset_length, coset_representative, projection
-    from garside.parabolic import make_parabolic, tail_split
+    from garside.parabolic import is_n_reduced, make_parabolic, tail_split
     from garside.structures import table_from_descriptor
 
     budget = Budget(10**7)
@@ -122,7 +122,9 @@ def test_full_agreement_on_stated_balls(b3, b3_parabolic, b3_ball4, i24, i24_par
         for x, dist in ball.dist.items():
             assert x.length() == dist
             if x.delta_power >= 0:
-                assert tail_split(x, p)[0] == O.brute_tail(x, p.div_sorted, budget)
+                c = tail_split(x, p)
+                assert K.multiply(O.brute_tail(x, p.div_sorted, budget), c) == x
+                assert is_n_reduced(c, p)
                 for s in range(table.n_simples):
                     got = K.meet_with_simple(x, s)
                     assert K.simple(table, got) == O.brute_meet(x, K.simple(table, s), budget)

@@ -106,27 +106,38 @@ def test_conjugation_permutes_divisors_of_every_accepted_simple(descriptor):
 
 
 def test_tail_examples(b3, b3_parabolic):
+    # (x, N-tail b, N-reduced part c) with x = b c.
     t, p = b3.table, b3_parabolic
-    assert tail_split(K.identity(t), p) == (K.identity(t), K.identity(t))
-    assert tail_split(K.simple(t, b3.ab), p) == (K.simple(t, b3.a), K.simple(t, b3.b))
-    assert tail_split(K.simple(t, b3.ba), p) == (K.identity(t), K.simple(t, b3.ba))
-    assert tail_split(K.delta_power(t, 1), p) == (K.simple(t, b3.a), K.simple(t, b3.ba))
+    one, a, ba = K.identity(t), K.simple(t, b3.a), K.simple(t, b3.ba)
+    for x, b, c in (
+        (one, one, one),
+        (K.simple(t, b3.ab), a, K.simple(t, b3.b)),
+        (ba, one, ba),
+        (K.delta_power(t, 1), a, ba),
+    ):
+        assert O.brute_tail(x, p.div_sorted, Budget(10**6)) == b
+        assert tail_split(x, p) == c
 
 
 def test_tail_product_recomposes(b3, b3_parabolic, b3_ball4):
+    p = b3_parabolic
     for x in positives_up_to(b3_ball4, 3):
-        b, c = tail_split(x, b3_parabolic)
+        b = O.brute_tail(x, p.div_sorted, Budget(10**7))
+        c = tail_split(x, p)
         assert K.multiply(b, c) == x
-        assert is_n_reduced(c, b3_parabolic)
-        assert O.positive_in_submonoid(b, b3_parabolic)
+        assert is_n_reduced(c, p)
+        assert O.positive_in_submonoid(b, p)
 
 
-def test_tail_agrees_with_bruteforce(b3, b3_parabolic, b3_ball4):
-    # The head-stripping tail equals the definition-level maximum N-divisor.
-    for x in positives_up_to(b3_ball4, 3):
-        assert tail_split(x, b3_parabolic)[0] == O.brute_tail(
-            x, b3_parabolic.div_sorted, Budget(10**7)
-        )
+def test_tail_agrees_with_bruteforce(b3, b3_ball4, i24, i24_ball3):
+    # The head-stripping remainder is what the definition-level maximum
+    # N-divisor leaves, on every parabolic of braid:3 and dihedral:4.
+    for table, ball in ((b3.table, b3_ball4), (i24, i24_ball3)):
+        for p in all_parabolics(table):
+            for x in positives_up_to(ball, 3):
+                c = tail_split(x, p)
+                assert K.multiply(O.brute_tail(x, p.div_sorted, Budget(10**7)), c) == x
+                assert is_n_reduced(c, p)
 
 
 def test_is_n_reduced_examples(b3, b3_parabolic):
