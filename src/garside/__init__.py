@@ -44,11 +44,7 @@ from .cosets import (
     projection,
     projection_diameter,
 )
-from .automaton import (
-    CosetAutomaton,
-    build_automaton,
-    enumerate_accepted,
-)
+from .automaton import CosetAutomaton, build_automaton
 from .growth import RationalSeries, rational_series, transfer_counts
 from .structures import (
     StructureFile,

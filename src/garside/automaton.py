@@ -113,31 +113,6 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
     return aut
 
 
-def enumerate_accepted(aut: CosetAutomaton, n: int) -> list[tuple[SignedLetter, ...]]:
-    """All accepted words of length exactly n, lexicographic by letter index."""
-    if n < 0:
-        raise DomainError("word length must be non-negative")
-    n_letters = len(aut.alphabet)
-    out: list[tuple[SignedLetter, ...]] = []
-    word: list[SignedLetter] = []
-
-    def walk(state: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(word))
-            return
-        base = state * n_letters
-        for j in range(n_letters):
-            target = aut.transition[base + j]
-            if target == SINK:
-                continue
-            word.append(aut.alphabet[j])
-            walk(target, remaining - 1)
-            word.pop()
-
-    walk(START, n)
-    return out
-
-
 # -- exports -----------------------------------------------------------------
 
 

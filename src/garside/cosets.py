@@ -15,7 +15,7 @@ lg(Hx)}, because h^-1 x runs over Hx as h runs over H.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, DomainError, StructureError
@@ -32,8 +32,8 @@ from .kernel import (
     may_follow,
     multiply,
     right_delta_positive_part,
+    signed_generators,
     simple,
-    strip_left_simple,
 )
 from .parabolic import (
     ParabolicData,
@@ -61,7 +61,8 @@ def coset_representative(x: Element, p: ParabolicData) -> Element:
     Write x = a * D^-q with q = 0 for x positive, strip the N-tail of a once,
     and while q >= 1 and the complement w left-divides the remainder c,
     absorb one factor of delta_sub into H: c = w c' becomes phi(c'), and q
-    drops by one. That the result is reduced and in H x is the paper's
+    drops by one. c' = w^-1 c needs no divisibility check: the loop condition
+    has just tested w <= c. That the result is reduced and in H x is the paper's
     transversal theorem, so it is not re-checked here.
 
     Lemma: phi(c') is N-reduced again, so one tail strip suffices. Proof:
@@ -75,7 +76,7 @@ def coset_representative(x: Element, p: ParabolicData) -> Element:
     q = max(0, -x.delta_power)
     c = tail_split(right_delta_positive_part(x) if q else x, p)
     while q and has_left_divisor(c, p.omega):
-        c = conjugate_by_delta(strip_left_simple(c, p.omega), 1)
+        c = conjugate_by_delta(multiply(invert(simple(x.table, p.omega)), c), 1)
         q -= 1
     return multiply(c, delta_power(x.table, -q)) if q else c
 
@@ -106,7 +107,7 @@ def _ball(
     the edge count of a BFS.
     """
     letters = [(s, e) for s in simples for e in (1, -1)]
-    gens = _signed_generators(table, simples)
+    gens = signed_generators(table, simples)
     steps = [
         [(j, gens[j]) for j, v in enumerate(letters) if may_follow(table, u, v)]
         for u in letters
@@ -120,16 +121,10 @@ def _ball(
     return ball
 
 
-def _signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Element]:
-    """Each simple followed by its inverse: the order of the signed letters."""
-    return [g for s in simples for g in (simple(table, s), invert(simple(table, s)))]
-
-
 @dataclasses.dataclass(frozen=True)
 class ProjectionSet:
-    """The nearest H-elements to a base element, with their common distance."""
+    """The nearest H-elements to an element, with their common distance."""
 
-    base: Element
     members: tuple[Element, ...]
     distance: int
 
@@ -137,8 +132,9 @@ class ProjectionSet:
         """Largest pairwise distance within the members."""
         best = 0
         for i, b1 in enumerate(self.members):
+            b1_inv = invert(b1)
             for b2 in self.members[i + 1 :]:
-                best = max(best, multiply(invert(b1), b2).length())
+                best = max(best, multiply(b1_inv, b2).length())
         return best
 
 
@@ -157,7 +153,7 @@ def projection(x: Element, p: ParabolicData, budget: Budget | None = None) -> Pr
     h = multiply(x, invert(theta))
     ball = _ball(p.table, p.generator_simples(), 2 * level, ensure_budget(budget))
     members = [multiply(h, invert(b)) for b in ball if multiply(b, theta).length() == level]
-    return ProjectionSet(x, tuple(sorted(members, key=Element.sort_key)), level)
+    return ProjectionSet(tuple(sorted(members, key=Element.sort_key)), level)
 
 
 def projection_diameter(x: Element, p: ParabolicData, budget: Budget | None = None) -> int:
@@ -183,7 +179,6 @@ class AuditRow:
 class FellowAuditReport:
     """Outcome of the fellow-projection audit up to a length bound."""
 
-    max_len: int
     bound: int
     k_observed: int
     witness: AuditRow | None
@@ -217,7 +212,8 @@ def fellow_projection_audit(
     budget runs out the report is returned flagged as partial.
     Each edge is audited from its end that sorts first, as the loop reaches
     it first; both directions read one distance table, since lg(a^-1 b) =
-    lg(b^-1 a), and take the first nearest partner.
+    lg(b^-1 a), and take the first nearest partner. The members of alpha's
+    projection are inverted once, for all its edges.
     """
     if max_len < 0:
         raise DomainError("the audit radius must be at least 0")
@@ -227,7 +223,7 @@ def fellow_projection_audit(
     t = p.table
     simples = [s for s in range(t.n_simples) if s != t.unit]
     letters = [(s, e) for s in simples for e in (1, -1)]
-    steps = list(zip(letters, _signed_generators(t, simples)))
+    steps = list(zip(letters, signed_generators(t, simples)))
 
     rows: list[AuditRow] = []
     k_obs = 0
@@ -247,13 +243,14 @@ def fellow_projection_audit(
         ball = _ball(t, simples, max_len, budget)
         for alpha in sorted(ball, key=Element.sort_key):
             pa = proj(alpha)
+            pa_inv = [invert(a) for a in pa]
             key = alpha.sort_key()
             for (s, e), step in steps:
                 alpha_u = multiply(alpha, step)
                 if alpha_u.length() <= max_len and alpha_u.sort_key() < key:
                     continue
                 pb = proj(alpha_u)
-                dist = [[multiply(invert(a), b).length() for b in pb] for a in pa]
+                dist = [[multiply(a_inv, b).length() for b in pb] for a_inv in pa_inv]
                 for base, letter, src, dst, dists in (
                     (alpha, (s, e), pa, pb, dist),
                     (alpha_u, (s, -e), pb, pa, list(zip(*dist))),
@@ -271,7 +268,6 @@ def fellow_projection_audit(
         partial = True
 
     return FellowAuditReport(
-        max_len=max_len,
         bound=bound,
         k_observed=k_obs,
         witness=witness,

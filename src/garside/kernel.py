@@ -339,12 +339,6 @@ class Element:
         p = self.delta_power
         return max(k + p, -p, k)
 
-    def factor_count(self) -> int:
-        """Number of greedy factors of a positive element, D powers included."""
-        if self.delta_power < 0:
-            raise DomainError("factor_count is defined for positive elements only")
-        return self.delta_power + len(self.body)
-
     def positive_factors(self) -> tuple[int, ...]:
         """Greedy factor sequence of a positive element, leading D factors explicit."""
         if self.delta_power < 0:
@@ -354,14 +348,11 @@ class Element:
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)
 
-    def inverse(self) -> "Element":
-        return invert(self)
-
     def __pow__(self, exp: int) -> "Element":
         acc = identity(self.table)
         if exp == 0:
             return acc
-        base = self if exp > 0 else self.inverse()
+        base = self if exp > 0 else invert(self)
         exp = abs(exp)
         while exp:
             if exp & 1:
@@ -402,6 +393,12 @@ def simple(table: GarsideTable, u: int) -> Element:
     if u == table.delta:
         return _make(table, 1, ())
     return _make(table, 0, (u,))
+
+
+def signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Element]:
+    """Each non-unit simple of the list, in order, followed by its inverse."""
+    gens = [simple(table, s) for s in simples if s != table.unit]
+    return [g for x in gens for g in (x, invert(x))]
 
 
 # -- normalisation ---------------------------------------------------------
@@ -535,37 +532,24 @@ def right_delta_positive_part(x: Element) -> Element:
 # -- head meets ------------------------------------------------------------
 
 
-def head_simple(a: Element) -> int:
-    """First greedy factor of a positive element (D if the D power is >= 1)."""
-    if a.delta_power < 0:
-        raise DomainError("head_simple requires a positive element")
-    if a.delta_power >= 1:
-        return a.table.delta
-    return a.body[0] if a.body else a.table.unit
-
-
 def meet_with_simple(a: Element, s: int) -> int:
     """Meet of a positive element with one simple.
 
     The meet of a positive element with any simple equals the meet of its
-    first greedy factor with that simple, so this is a single table lookup.
+    first greedy factor (D if the D power is >= 1) with that simple, so this
+    is a single table lookup.
     """
-    a.table.check_simple(s)
-    return a.table.meet_l(head_simple(a), s)
+    t = a.table
+    t.check_simple(s)
+    if a.delta_power < 0:
+        raise DomainError("meet_with_simple requires a positive element")
+    head = t.delta if a.delta_power else (a.body[0] if a.body else t.unit)
+    return t.meet_l(head, s)
 
 
 def has_left_divisor(a: Element, s: int) -> bool:
     """Whether the simple s left-divides the positive element a."""
     return meet_with_simple(a, s) == s
-
-
-def strip_left_simple(a: Element, s: int) -> Element:
-    """The positive element s^-1 * a; requires s to left-divide a."""
-    if not has_left_divisor(a, s):
-        raise DomainError(
-            f"{a.table.display(s)} does not left-divide {format_element(a)}"
-        )
-    return multiply(invert(simple(a.table, s)), a)
 
 
 # -- factored views --------------------------------------------------------

@@ -22,12 +22,13 @@ import weakref
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .automaton import START, CosetAutomaton
+from .automaton import SINK, START, CosetAutomaton
 from .budget import Budget, ensure_budget
 from .errors import DomainError, StructureError
 from .cosets import is_hn_reduced, projection
 from .kernel import (
-    Element, GarsideTable, SignedLetter, greedy_letters, identity, invert, multiply, simple
+    Element, GarsideTable, SignedLetter, greedy_letters, identity, invert, multiply,
+    signed_generators, simple,
 )
 from .parabolic import ParabolicData
 from .structures import BRAID_ATOM_LETTERS, MAX_VIOLATIONS
@@ -226,16 +227,6 @@ class BallIndex:
             raise DomainError("element outside the computed ball") from None
 
 
-def signed_generators(table: GarsideTable, simples: Iterable[int]) -> list[Element]:
-    """Each non-unit simple of the list, in order, followed by its inverse."""
-    return [
-        g
-        for s in simples
-        if s != table.unit
-        for g in (simple(table, s), invert(simple(table, s)))
-    ]
-
-
 def bfs_lengths(table: GarsideTable, radius: int, budget: Budget | None = None) -> BallIndex:
     """Distances from the identity in the Cayley graph, out to the radius."""
     return BallIndex(table, radius, subgroup_ball(table, range(table.n_simples), radius, budget))
@@ -331,7 +322,10 @@ def brute_meet(x: Element, y: Element, budget: Budget | None = None) -> Element:
     """Left meet of two positive elements via exhaustive divisor sets."""
     common = left_divisors(x, budget) & left_divisors(y, budget)
     t = x.table
-    best = max(common, key=lambda d: (d.factor_count(), sum(t.grade[u] for u in d.positive_factors())))
+    best = max(
+        common,
+        key=lambda d: (d.delta_power + len(d.body), sum(t.grade[u] for u in d.positive_factors())),
+    )
     for d in common:
         if not word_divides_word(t, _positive_word(d), _positive_word(best)):
             raise StructureError("common divisors have no maximum")
@@ -342,7 +336,7 @@ def brute_join(x: Element, y: Element, budget: Budget | None = None) -> Element:
     """Left join of two positive elements via bounded multiple enumeration."""
     budget = ensure_budget(budget)
     t = x.table
-    sup = max(x.factor_count(), y.factor_count())
+    sup = max(x.delta_power + len(x.body), y.delta_power + len(y.body))
     bound = t.grade[t.delta] * sup
     ball = positive_monoid_ball(t, t.atoms, bound, budget)
     xw = _positive_word(x)
@@ -692,6 +686,34 @@ def element_to_word(aut: CosetAutomaton, theta: Element) -> tuple[SignedLetter, 
     if not aut.accepts(word):
         raise StructureError("normal form word rejected by the automaton")
     return word
+
+
+def enumerate_accepted(aut: CosetAutomaton, n: int) -> list[tuple[SignedLetter, ...]]:
+    """All accepted words of length exactly n, lexicographic by letter index.
+
+    The slow twin of `growth.transfer_counts`: it lists the words one by one.
+    """
+    if n < 0:
+        raise DomainError("word length must be non-negative")
+    n_letters = len(aut.alphabet)
+    out: list[tuple[SignedLetter, ...]] = []
+    word: list[SignedLetter] = []
+
+    def walk(state: int, remaining: int) -> None:
+        if remaining == 0:
+            out.append(tuple(word))
+            return
+        base = state * n_letters
+        for j in range(n_letters):
+            target = aut.transition[base + j]
+            if target == SINK:
+                continue
+            word.append(aut.alphabet[j])
+            walk(target, remaining - 1)
+            word.pop()
+
+    walk(START, n)
+    return out
 
 
 # -- growth: dense twin of the transfer counts -----------------------------------

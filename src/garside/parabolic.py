@@ -16,11 +16,12 @@ from .errors import DomainError, StructureError
 from .kernel import (
     Element,
     GarsideTable,
+    invert,
     left_orthogonal,
     meet_with_simple,
+    multiply,
     normalize,
     simple,
-    strip_left_simple,
 )
 
 
@@ -105,15 +106,16 @@ def make_parabolic(table: GarsideTable, delta_sub: int) -> ParabolicData:
 def tail_split(a: Element, p: ParabolicData) -> Element:
     """The N-reduced part c of a positive element a = b * c, b its N-tail.
 
-    Works by iterated head stripping: while the meet of the remainder with
-    delta_sub is non-trivial, strip it. The stripped simples multiply to b,
-    which no caller needs, so it is not built. Each step removes positive
-    grade, so the loop terminates.
+    Works by iterated head stripping: while the meet x of the remainder with
+    delta_sub is non-trivial, strip it as x^-1 * a, which needs no
+    divisibility check since x divides a by definition of the meet. The
+    stripped simples multiply to b, which no caller needs, so it is not
+    built. Each step removes positive grade, so the loop terminates.
     """
     if a.delta_power < 0:
         raise DomainError("tail_split requires a positive element")
     while (x := meet_with_simple(a, p.delta_sub)) != p.table.unit:
-        a = strip_left_simple(a, x)
+        a = multiply(invert(simple(p.table, x)), a)
     return a
 
 

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 from garside import kernel as K
 from garside import oracle as O
-from garside.automaton import build_automaton, enumerate_accepted
+from garside.automaton import build_automaton
 from garside.budget import Budget
 from garside.cosets import (
     bounded_projection_witness,
@@ -23,6 +23,7 @@ from garside.cosets import (
     projection_diameter,
 )
 from garside.growth import rational_series, transfer_counts
+from garside.oracle import enumerate_accepted
 from garside.parabolic import d_k, is_n_reduced, make_parabolic
 from garside.structures import build_braid, build_dihedral, build_free_abelian
 

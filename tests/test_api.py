@@ -1,4 +1,4 @@
-"""Module boundaries: no private or unused imports, a resolvable `__all__`."""
+"""Module boundaries: no private or unused imports, no unread API, a resolvable `__all__`."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,10 @@ import garside
 
 PACKAGE_DIR = Path(garside.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+# `oracle.py` is test machinery, click calls the commands of `cli.py`, and
+# `__init__.py` only re-exports; every other module is library code.
+LIBRARY = [m for m in MODULES if m.name not in ("oracle.py", "cli.py", "__init__.py")]
 
 
 def imported_private_names(path):
@@ -66,6 +70,39 @@ def oracle_imports(path):
     return out
 
 
+def names_read(trees):
+    """Every name, and every attribute name, that the syntax trees read."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def unread_definitions(path, readers):
+    """Public top-level functions and classes of `path` that no reader names.
+
+    The module itself counts as a reader, apart from each definition's own
+    body, so a function that only calls itself is still unread.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    elsewhere = names_read(
+        ast.parse(r.read_text(encoding="utf-8"), filename=str(r)) for r in readers if r != path
+    )
+    unread = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") or node.name in elsewhere:
+            continue
+        if node.name not in names_read(n for n in tree.body if n is not node):
+            unread.append(node.name)
+    return unread
+
+
 def test_modules_found():
     assert {"kernel.py", "cosets.py", "oracle.py", "cli.py"} <= {m.name for m in MODULES}
 
@@ -89,6 +126,36 @@ def test_no_unused_imports(path):
 )
 def test_no_library_module_imports_oracle(path):
     assert oracle_imports(path) == []
+
+
+# Aim 2: library API without a library, CLI or benchmark caller is deleted,
+# or moved to `oracle.py` if only the tests use it.
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_every_public_definition_has_a_reader(path):
+    assert PERFBENCH
+    assert unread_definitions(path, LIBRARY + [PACKAGE_DIR / "cli.py"] + PERFBENCH) == []
+
+
+def test_unread_definition_is_detected(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def used_here():\n"
+        "    return 1\n"
+        "def used_elsewhere():\n"
+        "    pass\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def unread():\n"
+        "    pass\n"
+        "class Shown:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "x = used_here()\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("import probe\nprobe.used_elsewhere()\nprint(Shown)\n")
+    assert unread_definitions(probe, [probe, reader]) == ["recursive", "unread"]
 
 
 def test_oracle_import_is_detected(tmp_path):

@@ -12,11 +12,11 @@ from garside.automaton import (
     START,
     build_automaton,
     dot_text,
-    enumerate_accepted,
     transition_table_text,
 )
 from garside.cosets import is_hn_reduced
 from garside.errors import DomainError
+from garside.oracle import enumerate_accepted
 from garside.parabolic import make_parabolic
 from garside.structures import build_braid, build_free_abelian
 

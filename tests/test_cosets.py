@@ -557,7 +557,7 @@ def test_absorbed_complement_leaves_n_reduced_remainder(descriptor):
             q = max(0, -x.delta_power)
             c = tail_split(K.right_delta_positive_part(x) if q else x, p)
             while q and K.has_left_divisor(c, p.omega):
-                c = K.conjugate_by_delta(K.strip_left_simple(c, p.omega), 1)
+                c = K.conjugate_by_delta(K.multiply(K.invert(K.simple(t, p.omega)), c), 1)
                 q -= 1
                 absorbed += 1
                 assert is_n_reduced(c, p)

@@ -9,10 +9,11 @@ import pytest
 
 from garside import kernel as K
 from garside import oracle as O
-from garside.automaton import build_automaton, enumerate_accepted
+from garside.automaton import build_automaton
 from garside.budget import Budget
 from garside.cosets import coset_length, coset_representative, fellow_projection_audit, is_hn_reduced
 from garside.growth import rational_series, transfer_counts
+from garside.oracle import enumerate_accepted
 from garside.parabolic import d_k, make_parabolic
 from garside.structures import build_braid, build_dihedral, build_free_abelian
 

@@ -5,13 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from garside import kernel as K
 from garside import oracle as O
-from garside.automaton import (
-    SINK,
-    START,
-    CosetAutomaton,
-    build_automaton,
-    enumerate_accepted,
-)
+from garside.automaton import SINK, START, CosetAutomaton, build_automaton
 from garside.budget import Budget
 from garside.cosets import is_hn_reduced
 from garside.errors import StructureError
@@ -24,6 +18,7 @@ from garside.growth import (
     rational_series,
     transfer_counts,
 )
+from garside.oracle import enumerate_accepted
 from garside.parabolic import make_parabolic
 from garside.structures import build_free_abelian, table_from_descriptor
 
