@@ -6,10 +6,11 @@ the complement w does not left-divide a. These reduced elements form a
 transversal of H in G, one per right-coset, and each has minimal length in
 its coset; `coset_representative` computes the representative
 constructively. On top of that sit the metric operations: the projection
-of an element onto H, read off the shortest elements of its coset, its
-diameter, the fellow-projection audit and the certificate that projections
-are unbounded. Membership needs no search: proj(x) = {h in H : lg(h^-1 x) =
-lg(Hx)}, because h^-1 x runs over Hx as h runs over H.
+of an element onto H, its diameter, the fellow-projection audit and the
+certificate that projections are unbounded. proj(x) = {h in H : lg(h^-1 x)
+= lg(Hx)}, because h^-1 x runs over Hx as h runs over H; `projection`
+reads it off an interval of H, the right divisors in N of one positive
+element, with no search over H.
 """
 
 from __future__ import annotations
@@ -139,20 +140,102 @@ class ProjectionSet:
 
 
 def projection(x: Element, p: ParabolicData, budget: Budget | None = None) -> ProjectionSet:
-    """Projection of x onto H: x * gamma^-1 over the shortest coset elements.
+    """Projection of x onto H: an interval of H, read off one positive element.
 
-    With theta the representative, every shortest element is gamma = beta *
-    theta with beta in H, and lg(beta) <= lg(beta theta) + lg(theta^-1) =
-    2 lg(theta), lg the length of G. `_ball` over div(delta_sub) yields
-    exactly these beta, each once (theorem there), so the scan is complete.
-    The members are x gamma^-1 = h beta^-1 with h = x theta^-1, and beta ->
-    h beta^-1 is injective by cancellation, so they are distinct unchecked.
+    Notation: theta = a D^p is the representative of x (p <= 0, a N-reduced),
+    l = lg(theta) = max(-p, sup a), h = x theta^-1, N+ = H meet G+ (generated
+    by div(delta_sub)), omega = sigma(delta_sub), and e <=_R y means y e^-1 is
+    positive. Every shortest element of H x is beta theta with beta in H, and
+    the members are x (beta theta)^-1 = h beta^-1.
+
+    Theorem: with z = D^(l+p) theta^-1, which is positive (its D power is
+    l - |body of theta| >= 0),
+
+        proj(x) = {h e^-1 : e in N+, e <=_R z},
+
+    so the nearest points of H to theta, {beta^-1 : lg(beta theta) = l},
+    form the interval [c^-1, 1] of H in the prefix order, c the right N-tail
+    of z (its largest right divisor in N+). Proof, with these standard
+    facts:
+    (F1) lg y = max(sup y, -inf y, sup y - inf y) (`Element.length`), so
+         lg y <= l iff some j in [0, l] has inf y >= -j and sup y <= l - j.
+    (F2) sup y <= m iff D^m y^-1 is positive; so e <=_R z iff sup(e theta)
+         <= l + p.
+    (F3) For e in N+ and a N-reduced, every N+ prefix of e a divides e
+         (Godelle, J. Algebra 2007; `tail_split` rests on it).
+    (F4) If y = f^-1 g with f, g positive, f meet g = 1 and f != 1, then
+         inf y = -sup f, and sup y = sup g when g != 1 (`left_orthogonal`).
+    (F5) N+ is closed under divisors and right lcms, so c exists and
+         e <=_R z gives e <=_R c for e in N+.
+    Lemma C: e\\omega = omega, i.e. e join omega = e omega, for e in N+. For
+    u <= delta_sub let v = delta_sub u delta_sub^-1, again a divisor, since
+    conjugation by delta_sub permutes them (`make_parabolic`); then
+    u omega = omega phi^-1(v), so omega <= u omega.
+    Write u join omega = u y with y <= omega, and let u* u = delta_sub
+    (balance). delta_sub y = u*(u join omega) is a multiple of u* omega,
+    hence of omega, and of delta_sub. Now delta_sub join omega = D: under
+    sigma and phi it reads delta_sub meet_R phi(omega) = 1, where
+    phi(omega) delta_sub = D, and a common right divisor r makes r delta_sub
+    simple, so r = 1 by divisor closure and grade (as in `d_k`). So D <=
+    delta_sub y <= delta_sub omega = D and y = omega; induct over the
+    factors of e.
+    Lemma A: if p < 0 and e in N+, inf(e theta) = p. Otherwise D <= e a, so
+    omega <= e a and e omega = e join omega <= e a by Lemma C: omega <= a,
+    which reducedness excludes.
+    The interval is nearest: e <=_R z gives sup(e theta) <= l + p (F2) and
+    inf(e theta) >= p; (F1) with j = -p gives lg(e theta) <= l, and
+    minimality gives equality.
+    Nothing else is, for beta = e positive: (F1) gives some j, and j >= -p
+    (trivial for p = 0, Lemma A for p < 0). So sup(e theta) <= l + p, and
+    e <=_R z by (F2).
+    Nor for beta = f^-1 e in left orthogonal form with f != 1 (both parts
+    in N+): f meet e a = 1 by (F3), so (F4) and (F1) give lg(beta theta) >=
+    sup f - p and, if e a != 1, >= sup f + sup(e a) >= sup f + sup a.
+    Either way that is more than l = max(-p, sup a), so beta is never
+    nearest.
+
+    The computation: strip c off z, one generator g of H at a time, while
+    some g right-divides what is left (z g^-1 positive). By (F5) such a g
+    right-divides c, and the right N-tail of z g^-1 is c g^-1; the strip
+    stops when no generator, and so no last greedy factor of an element of
+    N+, right-divides the rest, so the stripped product is c. Then walk
+    e <- g e over the generators while c e^-1 stays positive. Every e != 1
+    in the interval is g e' for some generator g (say its first greedy
+    factor) with e' <=_R e in the interval, so the walk from 1 reaches all
+    of it. The members h e^-1 are distinct by cancellation. The budget is
+    charged one node per positivity test: each strip test and each
+    candidate g e, at most (|members| + |c| + 1) * |generators| in all, |c|
+    the number of stripped generators.
     """
+    budget = ensure_budget(budget)
+    t = p.table
     theta = coset_representative(x, p)
     level = theta.length()
-    h = multiply(x, invert(theta))
-    ball = _ball(p.table, p.generator_simples(), 2 * level, ensure_budget(budget))
-    members = [multiply(h, invert(b)) for b in ball if multiply(b, theta).length() == level]
+    theta_inv = invert(theta)
+    z = multiply(delta_power(t, level + theta.delta_power), theta_inv)
+    gens = [(g, invert(g)) for g in (simple(t, s) for s in p.generator_simples())]
+    c = identity(t)
+    while True:
+        for g, g_inv in gens:
+            budget.charge()
+            rest = multiply(z, g_inv)
+            if rest.delta_power >= 0:
+                z, c = rest, multiply(g, c)
+                break
+        else:
+            break
+    interval = {identity(t)}
+    walk = [identity(t)]
+    while walk:
+        e = walk.pop()
+        for g, _ in gens:
+            budget.charge()
+            ge = multiply(g, e)
+            if ge not in interval and multiply(c, invert(ge)).delta_power >= 0:
+                interval.add(ge)
+                walk.append(ge)
+    h = multiply(x, theta_inv)
+    members = [multiply(h, invert(e)) for e in interval]
     return ProjectionSet(tuple(sorted(members, key=Element.sort_key)), level)
 
 

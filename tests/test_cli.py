@@ -165,6 +165,24 @@ def test_project_output_pinned(capsys, structure, parabolic, expr, want):
     assert out == want
 
 
+def test_project_rank_three_parabolic(capsys, monkeypatch):
+    # braid:5/abacba: the H-ball scan of radius 6 ran out of the default
+    # budget here; the interval walk takes well under a second.
+    monkeypatch.delenv("GARSIDE_BUDGET", raising=False)
+    code, out, err = run(
+        capsys, "--structure", "braid:5", "--parabolic", "abacba", "project", "d.d.d"
+    )
+    assert code == EXIT_OK and err == ""
+    distance, members, diameter = out.splitlines()
+    assert distance == "distance: 3"
+    assert len(members.split()) == 1 + 192
+    assert diameter == "diameter: 6"
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f3ddc0f465e6d2ba588852110ea5f6c71d0bb95e7ef77581d00fc90602d9559c"
+    )
+
+
 def test_automaton_files(capsys, tmp_path):
     dot = tmp_path / "a.dot"
     table = tmp_path / "a.txt"
@@ -247,7 +265,9 @@ def test_audit_negative_radius_exit_code(capsys):
 # `audit-fellow --csv` output, frozen from the release that kept the letters
 # and generators in two lists and compared sorted key pairs: exit code, the
 # stdout lines before `wrote`, and the SHA-256 of the CSV. A budget (None
-# for the default) that runs out mid-audit pins the partial rows too.
+# for the default) that runs out mid-audit pins the partial rows too; those
+# at 300 and 2000 moved when `projection` began to charge one node per
+# positivity test instead of one per H-ball edge.
 AUDIT_PINNED = [
     ("braid:3", "a", 1, None, EXIT_OK,
      "fellow-projection audit: K_obs = 1 (bound 5), 316 rows, PASS\n"
@@ -269,13 +289,13 @@ AUDIT_PINNED = [
      "fellow-projection audit: K_obs = 0 (bound 5), 0 rows, PARTIAL\n",
      "b79f32916eb4442fbcdfe93802d2643ad13f71ef654087f122aaee4922e46b79"),
     ("braid:3", "a", 2, 300, EXIT_BUDGET,
-     "fellow-projection audit: K_obs = 1 (bound 5), 48 rows, PARTIAL\n"
+     "fellow-projection audit: K_obs = 1 (bound 5), 100 rows, PARTIAL\n"
      "witness: alpha=D^-3.ba u=b beta=a partner=1 distance=1\n",
-     "59839d4ffbd5102d14f76737c68559f7c5fc5222828b79f1b4b36ef9fa121b7b"),
+     "ea89e8a3e1e9a192d7805f46fba7fd9a027123de54f82fb195cfe594acbb170c"),
     ("braid:3", "a", 2, 2000, EXIT_BUDGET,
-     "fellow-projection audit: K_obs = 1 (bound 5), 679 rows, PARTIAL\n"
+     "fellow-projection audit: K_obs = 1 (bound 5), 1268 rows, PARTIAL\n"
      "witness: alpha=D^-3.ba u=b beta=a partner=1 distance=1\n",
-     "84442e85ba4cc4dafb3104f3e5621cd3c1a354c1672d441ad6eb6a916b324650"),
+     "509aa88917618cd6e4569d61cb546ca5b3f384bfdbf75ac47a9f22fca154f808"),
 ]
 
 
@@ -535,7 +555,8 @@ EXPRESSION_NAMES = {"braid:3": "1 a b ab ba D", "dihedral:4": "1 s t st tst D", 
     bad_name=st.booleans(),
 )
 def test_expression_exit_codes_fuzz(capsys, monkeypatch, pair, command, tokens, bad_name):
-    # `project` searches a ball; a small budget makes it run out sometimes.
+    # `project` charges one node per positivity test of its interval walk,
+    # so a small budget could stop it on a long coset.
     monkeypatch.setenv("GARSIDE_BUDGET", str(FUZZ_BUDGET))
     structure, parabolic = pair
     names = EXPRESSION_NAMES[structure].split() + ["zz" if bad_name else "", "D"]

@@ -10,6 +10,7 @@ from garside import kernel as K
 from garside import oracle as O
 from garside.budget import Budget
 from garside.cosets import (
+    audit_rows_csv,
     bounded_projection_witness,
     coset_length,
     coset_representative,
@@ -253,6 +254,122 @@ def test_projection_abelian_values(z2):
         assert set(ps.members) == want and dist == k
 
 
+# Structures of the interval theorem's checks (`projection`), each with the
+# largest coset length sampled; every parabolic of each is checked.
+INTERVAL_STRUCTURES = {
+    "braid:3": 4, "braid:4": 3,
+    "dihedral:3": 4, "dihedral:4": 4, "dihedral:5": 4, "dihedral:6": 4,
+    "abelian:2": 4, "abelian:3": 4, "abelian:4": 4,
+    "cyclic:3": 4, "cyclic:5": 4, "cyclic:7": 4,
+}
+
+
+def interval_cases():
+    """(parabolic, coset length cap) over every parabolic of the structures."""
+    return [
+        (p, cap)
+        for descriptor, cap in INTERVAL_STRUCTURES.items()
+        for p in all_parabolics(any_table(descriptor))
+    ]
+
+
+def random_elements(t, rng, count, max_letters):
+    letters = [(s, e) for s in range(t.n_simples) if s != t.unit for e in (1, -1)]
+    return [
+        K.normalize(t, [rng.choice(letters) for _ in range(rng.randint(0, max_letters))])
+        for _ in range(count)
+    ]
+
+
+def submonoid_elements(p, rng, count, max_factors):
+    """Random products of generators of H, elements of N+ = H meet G+."""
+    gens = [K.simple(p.table, s) for s in p.generator_simples()]
+    out = []
+    for _ in range(count):
+        e = K.identity(p.table)
+        for _ in range(rng.randint(0, max_factors)):
+            e = K.multiply(e, rng.choice(gens))
+        out.append(e)
+    return out
+
+
+def test_interval_projection_equals_ball_scan():
+    # `projection` reads proj(x) off the right N-tail of D^(l+p) theta^-1;
+    # its slow twin scans the H-ball of radius 2 lg(Hx). Random elements,
+    # and the adversarial d_k (whose projections spread) and D powers, up
+    # to the coset length cap of each structure.
+    rng = random.Random(20261020)
+    checked = 0
+    for p, cap in interval_cases():
+        t = p.table
+        xs = random_elements(t, rng, 20, cap + 2)
+        xs += [K.delta_power(t, k) for k in (-cap, -1, 1, cap)]
+        xs += [d_k(p, k) for k in range(1, cap + 1) if not p.improper]
+        for x in xs:
+            if coset_length(x, p) > cap:
+                continue
+            budget = Budget(10**7)
+            got = projection(x, p, budget)
+            assert got == O.ball_projection(x, p, Budget(10**8))
+            # The charge bound of the docstring, with |c| + 1 <= |members|:
+            # the suffixes of the strip are distinct members' e.
+            assert budget.used <= 2 * len(got.members) * len(p.generator_simples())
+            checked += 1
+    assert checked > 1500
+    # braid:5 and its rank-three parabolic, where the ball scan is slow.
+    t = any_table("braid:5")
+    p = make_parabolic(t, t.simples.index("abacba"))
+    xs = [x for x in random_elements(t, rng, 40, 3) if coset_length(x, p) <= 2]
+    for x in xs[:8] + [d_k(p, 1), d_k(p, 2)]:
+        assert projection(x, p) == O.ball_projection(x, p, Budget(10**8))
+
+
+def test_projection_lemma_c():
+    # Lemma C of `projection`: e join omega = e omega for e in N+. That is,
+    # omega <= e omega and no proper prefix y of omega has omega <= e y.
+    # The same test rejects delta_sub in place of omega, so it can fail.
+    rng = random.Random(3)
+    cases = [p for p, _ in interval_cases()]
+    t5 = any_table("braid:5")
+    cases.append(make_parabolic(t5, t5.simples.index("abacba")))
+
+    def join_is_product(e, w):
+        t = e.table
+        prefixes = [y for y in range(t.n_simples) if t.left_divides(y, w) and y != w]
+        return K.has_left_divisor(K.multiply(e, K.simple(t, w)), w) and not any(
+            K.has_left_divisor(K.multiply(e, K.simple(t, y)), w) for y in prefixes
+        )
+
+    for p in cases:
+        es = submonoid_elements(p, rng, 20, 3)
+        es += [K.simple(p.table, s) for s in p.generator_simples()]
+        for e in es:
+            assert join_is_product(e, p.omega)
+        if not p.improper:
+            g = K.simple(p.table, p.generator_simples()[0])
+            assert not join_is_product(g, p.delta_sub)
+
+
+def test_projection_lemma_a():
+    # Lemma A of `projection`: for theta = a D^p on the transversal with
+    # p < 0 and e in N+, inf(e theta) = p.
+    rng = random.Random(4)
+    negative = 0
+    for p, cap in interval_cases():
+        if p.improper:
+            continue
+        thetas = {coset_representative(x, p) for x in random_elements(p.table, rng, 30, 2 * cap)}
+        thetas |= {d_k(p, k) for k in range(1, cap + 1)}
+        es = submonoid_elements(p, rng, 10, 3)
+        for theta in thetas:
+            if theta.delta_power >= 0:
+                continue
+            negative += 1
+            for e in es:
+                assert K.multiply(e, theta).delta_power == theta.delta_power
+    assert negative > 300
+
+
 # -- the ball walk ------------------------------------------------------------
 
 
@@ -472,6 +589,24 @@ def test_fellow_audit_agrees_with_edge_set(descriptor, name, max_radius):
         )
         assert edges == want_edges
         assert report.k_observed == max((r[4] for r in want_rows), default=0)
+
+
+@pytest.mark.parametrize("descriptor, name, radius", [("braid:3", "a", 2), ("braid:4", "aba", 1)])
+def test_partial_audit_rows_are_a_prefix(descriptor, name, radius):
+    # A budget that runs out mid-audit keeps the rows audited so far: the
+    # partial CSV is a prefix of the full one, whatever the charge unit.
+    t = any_table(descriptor)
+    p = make_parabolic(t, t.simples.index(name))
+    budget = Budget(10**8)
+    full = fellow_projection_audit(p, radius, budget=budget)
+    assert not full.partial
+    want = audit_rows_csv(full).splitlines()
+    for limit in (40, 300, 2000, budget.used // 3, budget.used - 1):
+        report = fellow_projection_audit(p, radius, budget=Budget(limit))
+        assert report.partial
+        got = audit_rows_csv(report).splitlines()
+        assert len(got) < len(want) and got == want[: len(got)]
+        assert report.k_observed <= full.k_observed
 
 
 def test_fellow_audit_abelian(z2):
