@@ -269,10 +269,12 @@ def project(obj: Context, expr: str):
     """Projection of an element onto the parabolic subgroup."""
     x = parse_element(obj.table, expr)
     p = obj.parabolic
-    ps = projection(x, p)
+    budget = Budget()
+    ps = projection(x, p, budget)
+    diameter = ps.diameter(budget)
     click.echo(f"distance: {ps.distance}")
     click.echo(f"members: {' '.join(K.format_element(m) for m in ps.members)}")
-    click.echo(f"diameter: {ps.diameter()}")
+    click.echo(f"diameter: {diameter}")
 
 
 @cli.command("audit-fellow")

@@ -8,21 +8,21 @@ its coset; `coset_representative` computes the representative
 constructively. On top of that sit the metric operations: the projection
 of an element onto H, its diameter, the fellow-projection audit and the
 certificate that projections are unbounded. proj(x) = {h in H : lg(h^-1 x)
-= lg(Hx)}, because h^-1 x runs over Hx as h runs over H; `projection`
-reads it off an interval of H, the right divisors in N of one positive
-element, with no search over H.
+= lg(Hx)}, because h^-1 x runs over Hx as h runs over H. It is an interval
+of H, the right divisors in N of one positive element, with no search over
+H: one walk, `_walk`, lists both that interval and the audit's ball.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, DomainError, StructureError
 from .kernel import (
     Element,
-    GarsideTable,
+    SignedLetter,
     conjugate_by_delta,
     delta_power,
     format_element,
@@ -90,36 +90,53 @@ def coset_length(x: Element, p: ParabolicData) -> int:
 # -- shortest coset elements and projections ---------------------------------
 
 
-def _ball(
-    table: GarsideTable, simples: Sequence[int], radius: int, budget: Budget
+def _walk(
+    x0: Element,
+    letters: Sequence[SignedLetter],
+    radius: int,
+    budget: Budget,
+    keep: Callable[[Element], bool] | None = None,
 ) -> list[Element]:
-    """The ball of the given radius over the signed letters of `simples`.
+    """x0 y for each symmetric greedy word y of at most `radius` `letters`, once.
 
-    Theorem: over every non-unit simple of G, or of div(delta_sub) for a
-    parabolic H, this yields {h in H : lg(h) <= radius} (H = G in the first
-    case; lg is the length of G), each element once, in length order, and
-    the letter count of its word is `length()`. Proof: the walk extends each
-    word by the letters `kernel.may_follow` admits, so it lists each
-    symmetric greedy word over these letters once, from its prefix. That
-    word is geodesic (Charney, Math. Ann. 1995; Dehornoy et al., Foundations
-    of Garside Theory), and for h in H it uses letters of H only (Godelle,
-    J. Algebra 2007; see `element_in_subgroup`). So lg_H = lg on H, too.
-    The budget is charged |letters| per element shorter than the radius,
-    the edge count of a BFS.
+    Each word is extended by the letters `kernel.may_follow` admits, so each
+    symmetric greedy word comes once, from its prefix, in length order, and
+    distinct words are distinct elements. A word with keep(x0 y) false is
+    dropped with every word through it. The budget is charged |letters| per
+    element extended, that is per listed element shorter than the radius.
+
+    Balls: with x0 = 1, both signs of every non-unit simple of G, or of
+    div(delta_sub) for a parabolic H, and no keep rule, this lists {h in H :
+    lg(h) <= radius} (H = G in the first case; lg is the length of G), and
+    the letter count of its word is `length()`. Proof: that word is geodesic
+    (Charney, Math. Ann. 1995; Dehornoy et al., Foundations of Garside
+    Theory), and for h in H it uses letters of H only (Godelle, J. Algebra
+    2007; see `element_in_subgroup`). So lg_H = lg on H, too. The charge is
+    the edge count of a BFS of the same ball.
+
+    Right divisors: with x0 = z positive, the negative letters of
+    div(delta_sub), keep = positivity and radius sup z, this lists z e^-1
+    once for each e in N+ = H meet G+ with e <=_R z. Proof: by the ball case
+    the negative words are those of the e^-1, e in N+, one each, of sup e <=
+    sup z letters. The keep rule is prefix-closed: y s^-1 stands for s e,
+    and if z (s e)^-1 is positive, so is z e^-1 = z (s e)^-1 s; so every
+    prefix of a kept word is kept, and the walk reaches each such e.
     """
-    letters = [(s, e) for s in simples for e in (1, -1)]
-    gens = signed_generators(table, simples)
+    t = x0.table
+    gens = [simple(t, s) if e == 1 else invert(simple(t, s)) for s, e in letters]
     steps = [
-        [(j, gens[j]) for j, v in enumerate(letters) if may_follow(table, u, v)]
+        [(j, gens[j]) for j, v in enumerate(letters) if may_follow(t, u, v)]
         for u in letters
     ]
-    ball = [identity(table)]
-    frontier = [(identity(table), list(enumerate(gens)))]
+    out = [x0]
+    frontier = [(x0, list(enumerate(gens)))]
     for _ in range(radius):
         budget.charge(len(letters) * len(frontier))
         frontier = [(multiply(x, g), steps[j]) for x, after in frontier for j, g in after]
-        ball.extend(y for y, _ in frontier)
-    return ball
+        if keep is not None:
+            frontier = [(y, after) for y, after in frontier if keep(y)]
+        out.extend(y for y, _ in frontier)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,12 +146,15 @@ class ProjectionSet:
     members: tuple[Element, ...]
     distance: int
 
-    def diameter(self) -> int:
-        """Largest pairwise distance within the members."""
+    def diameter(self, budget: Budget | None = None) -> int:
+        """Largest pairwise distance within the members, one node per pair."""
+        budget = ensure_budget(budget)
         best = 0
         for i, b1 in enumerate(self.members):
             b1_inv = invert(b1)
-            for b2 in self.members[i + 1 :]:
+            rest = self.members[i + 1 :]
+            budget.charge(len(rest))
+            for b2 in rest:
                 best = max(best, multiply(b1_inv, b2).length())
         return best
 
@@ -194,54 +214,31 @@ def projection(x: Element, p: ParabolicData, budget: Budget | None = None) -> Pr
     Either way that is more than l = max(-p, sup a), so beta is never
     nearest.
 
-    The computation: strip c off z, one generator g of H at a time, while
-    some g right-divides what is left (z g^-1 positive). By (F5) such a g
-    right-divides c, and the right N-tail of z g^-1 is c g^-1; the strip
-    stops when no generator, and so no last greedy factor of an element of
-    N+, right-divides the rest, so the stripped product is c. Then walk
-    e <- g e over the generators while c e^-1 stays positive. Every e != 1
-    in the interval is g e' for some generator g (say its first greedy
-    factor) with e' <=_R e in the interval, so the walk from 1 reaches all
-    of it. The members h e^-1 are distinct by cancellation. The budget is
-    charged one node per positivity test: each strip test and each
-    candidate g e, at most (|members| + |c| + 1) * |generators| in all, |c|
-    the number of stripped generators.
+    The computation: `_walk` from z over the inverse letters of H's
+    generators, keeping z e^-1 positive, lists z e^-1 for each e of the
+    interval once (theorem there); by (F5) it never needs c. The members,
+    distinct by cancellation, are h e^-1 = (h z^-1)(z e^-1), with h z^-1 =
+    x D^-(l+p). The budget is charged |generators| per member the walk
+    extends, at most |members| * |generators| per projection.
     """
     budget = ensure_budget(budget)
     t = p.table
     theta = coset_representative(x, p)
     level = theta.length()
-    theta_inv = invert(theta)
-    z = multiply(delta_power(t, level + theta.delta_power), theta_inv)
-    gens = [(g, invert(g)) for g in (simple(t, s) for s in p.generator_simples())]
-    c = identity(t)
-    while True:
-        for g, g_inv in gens:
-            budget.charge()
-            rest = multiply(z, g_inv)
-            if rest.delta_power >= 0:
-                z, c = rest, multiply(g, c)
-                break
-        else:
-            break
-    interval = {identity(t)}
-    walk = [identity(t)]
-    while walk:
-        e = walk.pop()
-        for g, _ in gens:
-            budget.charge()
-            ge = multiply(g, e)
-            if ge not in interval and multiply(c, invert(ge)).delta_power >= 0:
-                interval.add(ge)
-                walk.append(ge)
-    h = multiply(x, theta_inv)
-    members = [multiply(h, invert(e)) for e in interval]
+    power = level + theta.delta_power
+    z = multiply(delta_power(t, power), invert(theta))
+    letters = [(s, -1) for s in p.generator_simples()]
+    # z.length() is sup z, as z is positive.
+    walk = _walk(z, letters, z.length(), budget, keep=lambda y: y.delta_power >= 0)
+    hz = multiply(x, delta_power(t, -power))
+    members = [multiply(hz, y) for y in walk]
     return ProjectionSet(tuple(sorted(members, key=Element.sort_key)), level)
 
 
 def projection_diameter(x: Element, p: ParabolicData, budget: Budget | None = None) -> int:
     """Largest pairwise distance within the projection of x onto H."""
-    return projection(x, p, budget).diameter()
+    budget = ensure_budget(budget)
+    return projection(x, p, budget).diameter(budget)
 
 
 # -- fellow projection audit --------------------------------------------------
@@ -323,7 +320,7 @@ def fellow_projection_audit(
         return got
 
     try:
-        ball = _ball(t, simples, max_len, budget)
+        ball = _walk(identity(t), letters, max_len, budget)
         for alpha in sorted(ball, key=Element.sort_key):
             pa = proj(alpha)
             pa_inv = [invert(a) for a in pa]

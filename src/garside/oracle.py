@@ -25,7 +25,6 @@ from typing import Iterable, Sequence
 from .automaton import SINK, START, CosetAutomaton
 from .budget import Budget, ensure_budget
 from .errors import DomainError, StructureError
-from . import cosets
 from .cosets import ProjectionSet, coset_representative, is_hn_reduced, projection
 from .kernel import (
     Element, GarsideTable, SignedLetter, greedy_letters, identity, invert, multiply,
@@ -669,15 +668,17 @@ def ball_projection(x: Element, p: ParabolicData, budget: Budget | None = None) 
 
     With theta the representative, every shortest element is gamma = beta *
     theta with beta in H, and lg(beta) <= lg(beta theta) + lg(theta^-1) =
-    2 lg(theta), lg the length of G. `cosets._ball` over div(delta_sub)
-    yields exactly these beta, each once (theorem there), so the scan is
-    complete. The members are x gamma^-1 = h beta^-1 with h = x theta^-1,
-    distinct by cancellation. The ball grows exponentially with its radius.
+    2 lg(theta), lg the length of G. The BFS `subgroup_ball` over
+    div(delta_sub) reaches exactly these beta, since lg_H = lg on H (ball
+    theorem of `cosets._walk`, checked against this BFS by the tests), so the
+    scan is complete and shares no walk with `projection`. The members are
+    x gamma^-1 = h beta^-1 with h = x theta^-1, distinct by cancellation. The
+    ball grows exponentially with its radius.
     """
     theta = coset_representative(x, p)
     level = theta.length()
     h = multiply(x, invert(theta))
-    ball = cosets._ball(p.table, p.generator_simples(), 2 * level, ensure_budget(budget))
+    ball = subgroup_ball(p.table, p.generator_simples(), 2 * level, budget)
     members = [multiply(h, invert(b)) for b in ball if multiply(b, theta).length() == level]
     return ProjectionSet(tuple(sorted(members, key=Element.sort_key)), level)
 

@@ -16,19 +16,38 @@ LIBRARY = [m for m in MODULES if m.name not in ("oracle.py", "cli.py", "__init__
 
 
 def imported_private_names(path):
-    """(line, module, name) for each `_`-prefixed name imported from garside."""
+    """(line, module, name) for each `_`-prefixed name read from garside.
+
+    A name counts when it is imported (`from .cosets import _walk`) and when
+    it is read as an attribute of a name that an import from garside binds
+    (`cosets._walk`, `garside.cosets._walk`); dunder names are not private.
+    """
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     out = []
+    bound = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "garside":
+                    bound.add(alias.asname or "garside")
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "garside":
+                continue
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    out.append((node.lineno, node.module, alias.name))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
             continue
-        inside = node.level > 0 or (node.module or "").split(".")[0] == "garside"
-        if not inside:
+        if node.attr.startswith("__") and node.attr.endswith("__"):
             continue
-        for alias in node.names:
-            if alias.name.startswith("_"):
-                out.append((node.lineno, node.module, alias.name))
-    return out
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in bound:
+            out.append((node.lineno, ast.unparse(node.value), node.attr))
+    return sorted(out)
 
 
 def unused_imports(path):
@@ -188,14 +207,34 @@ def test_unused_import_is_detected(tmp_path):
 def test_private_import_is_detected(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
-        "from .cosets import _ball, projection\n"
+        "from .cosets import _walk, projection\n"
         "def f():\n"
         "    from garside.kernel import _make\n"
         "from os import _exit\n"
     )
     assert imported_private_names(probe) == [
-        (1, "cosets", "_ball"),
+        (1, "cosets", "_walk"),
         (3, "garside.kernel", "_make"),
+    ]
+
+
+def test_private_attribute_read_is_detected(tmp_path):
+    # A private name read off an imported garside module counts; attributes
+    # of other objects, dunder names and modules outside garside do not.
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\n"
+        "import garside.kernel\n"
+        "from . import cosets\n"
+        "from garside import parabolic as P\n"
+        "def f(t):\n"
+        "    ball = cosets._ball(t)\n"
+        "    return garside.kernel._make(t), P._x, t._acceptors, cosets.__name__, os._exit\n"
+    )
+    assert imported_private_names(probe) == [
+        (6, "cosets", "_ball"),
+        (7, "P", "_x"),
+        (7, "garside.kernel", "_make"),
     ]
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -183,6 +184,22 @@ def test_project_rank_three_parabolic(capsys, monkeypatch):
     )
 
 
+def test_project_diameter_is_budgeted(capsys, monkeypatch):
+    # braid:5/abacba, d^5: the projection (936 members) charges 10,028 nodes
+    # and its diameter one per pair, 437,580 more. A budget of 25,000 stops
+    # the diameter after 16 rows, before anything is printed: about 0.2 s
+    # in process, where the full diameter takes about 3-5 s.
+    monkeypatch.setenv("GARSIDE_BUDGET", "25000")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "--structure", "braid:5", "--parabolic", "abacba", "project", "d^5"
+    )
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert err.startswith("error: enumeration budget exceeded (25001 > 25000 nodes)")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_automaton_files(capsys, tmp_path):
     dot = tmp_path / "a.dot"
     table = tmp_path / "a.txt"
@@ -265,9 +282,11 @@ def test_audit_negative_radius_exit_code(capsys):
 # `audit-fellow --csv` output, frozen from the release that kept the letters
 # and generators in two lists and compared sorted key pairs: exit code, the
 # stdout lines before `wrote`, and the SHA-256 of the CSV. A budget (None
-# for the default) that runs out mid-audit pins the partial rows too; those
-# at 300 and 2000 moved when `projection` began to charge one node per
-# positivity test instead of one per H-ball edge.
+# for the default) that runs out mid-audit pins the partial rows too. The
+# one at 300 moved when `projection` began to charge one node per positivity
+# test instead of one per H-ball edge, and again when it began to charge
+# |generators| per member its walk extends; the second change also
+# completed the audit at 2000, so the mid-budget pin is at 1000.
 AUDIT_PINNED = [
     ("braid:3", "a", 1, None, EXIT_OK,
      "fellow-projection audit: K_obs = 1 (bound 5), 316 rows, PASS\n"
@@ -289,13 +308,13 @@ AUDIT_PINNED = [
      "fellow-projection audit: K_obs = 0 (bound 5), 0 rows, PARTIAL\n",
      "b79f32916eb4442fbcdfe93802d2643ad13f71ef654087f122aaee4922e46b79"),
     ("braid:3", "a", 2, 300, EXIT_BUDGET,
-     "fellow-projection audit: K_obs = 1 (bound 5), 100 rows, PARTIAL\n"
+     "fellow-projection audit: K_obs = 1 (bound 5), 145 rows, PARTIAL\n"
      "witness: alpha=D^-3.ba u=b beta=a partner=1 distance=1\n",
-     "ea89e8a3e1e9a192d7805f46fba7fd9a027123de54f82fb195cfe594acbb170c"),
-    ("braid:3", "a", 2, 2000, EXIT_BUDGET,
-     "fellow-projection audit: K_obs = 1 (bound 5), 1268 rows, PARTIAL\n"
+     "dff62cff49b7a1d1ccef2a505eaf96ad3925f4a9b6ff7a9f664ee5dbc74ade77"),
+    ("braid:3", "a", 2, 1000, EXIT_BUDGET,
+     "fellow-projection audit: K_obs = 1 (bound 5), 733 rows, PARTIAL\n"
      "witness: alpha=D^-3.ba u=b beta=a partner=1 distance=1\n",
-     "509aa88917618cd6e4569d61cb546ca5b3f384bfdbf75ac47a9f22fca154f808"),
+     "b277d27de14071142af214da705695e13971ac9346e43b40ce15e27a9904c214"),
 ]
 
 

@@ -99,7 +99,7 @@ def test_representative_is_reduced_and_in_the_coset():
             K.normalize(t, [rng.choice(letters) for _ in range(rng.randint(0, 12))])
             for _ in range(40)
         ]
-        xs += C._ball(t, simples, 2 if len(simples) < 20 else 1, Budget(10**7))
+        xs += C._walk(K.identity(t), letters, 2 if len(simples) < 20 else 1, Budget(10**7))
         for x in xs:
             theta = coset_representative(x, p)
             assert is_hn_reduced(theta, p), (p, x)
@@ -294,8 +294,8 @@ def submonoid_elements(p, rng, count, max_factors):
 
 
 def test_interval_projection_equals_ball_scan():
-    # `projection` reads proj(x) off the right N-tail of D^(l+p) theta^-1;
-    # its slow twin scans the H-ball of radius 2 lg(Hx). Random elements,
+    # `projection` walks the right divisors in N+ of z = D^(l+p) theta^-1;
+    # its slow twin scans the BFS H-ball of radius 2 lg(Hx). Random elements,
     # and the adversarial d_k (whose projections spread) and D powers, up
     # to the coset length cap of each structure.
     rng = random.Random(20261020)
@@ -311,17 +311,36 @@ def test_interval_projection_equals_ball_scan():
             budget = Budget(10**7)
             got = projection(x, p, budget)
             assert got == O.ball_projection(x, p, Budget(10**8))
-            # The charge bound of the docstring, with |c| + 1 <= |members|:
-            # the suffixes of the strip are distinct members' e.
-            assert budget.used <= 2 * len(got.members) * len(p.generator_simples())
+            # The charge bound of the docstring: |generators| per member
+            # the walk extends.
+            assert budget.used <= len(got.members) * len(p.generator_simples())
             checked += 1
     assert checked > 1500
-    # braid:5 and its rank-three parabolic, where the ball scan is slow.
+    # braid:5 and its rank-three parabolic, where the ball scan is slow: the
+    # first sampled element of each coset length 0-2, and d_1 and d_2. The
+    # BFS twin takes about 1 s for each of length 2.
     t = any_table("braid:5")
     p = make_parabolic(t, t.simples.index("abacba"))
-    xs = [x for x in random_elements(t, rng, 40, 3) if coset_length(x, p) <= 2]
-    for x in xs[:8] + [d_k(p, 1), d_k(p, 2)]:
+    firsts = {}
+    for x in random_elements(t, rng, 40, 3):
+        firsts.setdefault(coset_length(x, p), x)
+    assert {0, 1, 2} <= set(firsts)
+    for x in [firsts[n] for n in (0, 1, 2)] + [d_k(p, 1), d_k(p, 2)]:
         assert projection(x, p) == O.ball_projection(x, p, Budget(10**8))
+
+
+def test_diameter_charges_one_node_per_pair():
+    t = any_table("braid:4")
+    p = make_parabolic(t, t.simples.index("aba"))
+    x = K.normalize(t, [(t.simples.index("c"), 1)] * 3)
+    ps = projection(x, p)
+    n = len(ps.members)
+    assert n > 10
+    budget = Budget(10**7)
+    assert ps.diameter(budget) == projection_diameter(x, p) > 0
+    assert budget.used == n * (n - 1) // 2
+    with pytest.raises(BudgetExceededError):
+        ps.diameter(Budget(n * (n - 1) // 2 - 1))
 
 
 def test_projection_lemma_c():
@@ -373,11 +392,15 @@ def test_projection_lemma_a():
 # -- the ball walk ------------------------------------------------------------
 
 
+def signed_letters(simples):
+    return [(s, e) for s in simples for e in (1, -1)]
+
+
 def assert_walk_is_bfs(t, simples, radius):
-    """`_ball` against the BFS over the same letters: one element per
+    """`_walk` from 1 against the BFS over the same letters: one element per
     distance-labelled BFS entry, in length order, with the same charge."""
     walk_budget, bfs_budget = Budget(10**7), Budget(10**7)
-    got = C._ball(t, simples, radius, walk_budget)
+    got = C._walk(K.identity(t), signed_letters(simples), radius, walk_budget)
     want = O.subgroup_ball(t, simples, radius, bfs_budget)
     assert len(got) == len(set(got)) == len(want)
     assert {x: x.length() for x in got} == want
@@ -389,7 +412,7 @@ def assert_walk_is_bfs(t, simples, radius):
 
 def test_ball_walk_on_census_parabolics():
     # The H-ball of every proper parabolic of the census at radius 4: the
-    # theorem in `_ball`, and with it lg_H = lg_G on H.
+    # ball theorem of `_walk`, and with it lg_H = lg_G on H.
     parabolics = proper_parabolics(CENSUS_STRUCTURES)
     assert len(parabolics) == 16 + 2 + 6 + 14
     for p in parabolics:
@@ -407,7 +430,7 @@ def test_ball_walk_over_the_group(descriptor, radius):
     t = table_from_descriptor(descriptor)
     simples = [s for s in range(t.n_simples) if s != t.unit]
     ball = O.bfs_lengths(t, radius, Budget(10**7))
-    got = C._ball(t, simples, radius, Budget(10**7))
+    got = C._walk(K.identity(t), signed_letters(simples), radius, Budget(10**7))
     assert len(got) == len(ball.dist)
     assert {x: x.length() for x in got} == ball.dist
 
@@ -419,11 +442,15 @@ def test_ball_walk_stops_where_the_bfs_stops(limit):
     # The first node past the limit raises and leaves used at limit + 1.
     t = table_from_descriptor("braid:4")
     simples = make_parabolic(t, t.simples.index("aba")).generator_simples()
+    walks = (
+        lambda budget: C._walk(K.identity(t), signed_letters(simples), 3, budget),
+        lambda budget: O.subgroup_ball(t, simples, 3, budget),
+    )
     outcomes = []
-    for ball in (C._ball, O.subgroup_ball):
+    for walk in walks:
         budget = Budget(limit)
         try:
-            ball(t, simples, 3, budget)
+            walk(budget)
             outcomes.append(("done", budget.used))
         except BudgetExceededError:
             outcomes.append(("exceeded", budget.used))
@@ -591,6 +618,11 @@ def test_fellow_audit_agrees_with_edge_set(descriptor, name, max_radius):
         assert report.k_observed == max((r[4] for r in want_rows), default=0)
 
 
+# The full charge of each audit below, pinned so that the fixed limits under
+# it stay partial and the test cannot go vacuous.
+FULL_AUDIT_CHARGE = {("braid:3", "a", 2): 1756, ("braid:4", "aba", 1): 36126}
+
+
 @pytest.mark.parametrize("descriptor, name, radius", [("braid:3", "a", 2), ("braid:4", "aba", 1)])
 def test_partial_audit_rows_are_a_prefix(descriptor, name, radius):
     # A budget that runs out mid-audit keeps the rows audited so far: the
@@ -600,8 +632,10 @@ def test_partial_audit_rows_are_a_prefix(descriptor, name, radius):
     budget = Budget(10**8)
     full = fellow_projection_audit(p, radius, budget=budget)
     assert not full.partial
+    assert budget.used == FULL_AUDIT_CHARGE[descriptor, name, radius]
     want = audit_rows_csv(full).splitlines()
-    for limit in (40, 300, 2000, budget.used // 3, budget.used - 1):
+    fixed = [limit for limit in (40, 300, 2000) if limit < budget.used]
+    for limit in fixed + [budget.used // 3, budget.used - 1]:
         report = fellow_projection_audit(p, radius, budget=Budget(limit))
         assert report.partial
         got = audit_rows_csv(report).splitlines()
