@@ -6,13 +6,16 @@ sink; every state except the sink accepts. The transitions encode the local
 greedy conditions together with the initial reducedness tests, so the
 accepted language maps bijectively onto the transversal, letter count equal
 to element length. Letters are actual simples, so every transition predicate
-is a table lookup and the whole machine is a dense integer table, built
-eagerly and cached on the table, one per parabolic.
+is a table lookup and the whole machine is a dense 16-bit array, built
+eagerly and cached on the table, one per parabolic. A table has at most
+`kernel.MAX_SIMPLES` = 1024 simples, so an acceptor has at most
+2 + 2 * 1023 = 2048 states, and every state id fits in 16 bits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from typing import Iterable
 
 from .errors import DomainError, StructureError
@@ -30,7 +33,7 @@ class CosetAutomaton:
     table: GarsideTable
     parabolic: ParabolicData
     alphabet: tuple[SignedLetter, ...]
-    transition: list[int]  # flat: state * len(alphabet) + letter -> state
+    transition: array  # 16-bit array("H"), flat: state * len(alphabet) + letter -> state
     letter_index: dict[SignedLetter, int]
 
     @property
@@ -84,7 +87,7 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
     )
     letter_index = {letter: i for i, letter in enumerate(alphabet)}
     n_letters = len(alphabet)
-    transition = [SINK] * ((2 + n_letters) * n_letters)
+    transition = array("H", [SINK]) * ((2 + n_letters) * n_letters)
 
     def admit_initial(letter: SignedLetter) -> bool:
         v, sign = letter

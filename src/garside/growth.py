@@ -34,29 +34,61 @@ def _lumped_rows(aut: CosetAutomaton) -> list[list[tuple[int, int]]]:
     same multiset of successor classes (Kemeny-Snell); then counting words
     class by class gives the same totals as state by state. Row c lists
     (target class, number of letters) for class c; START is in class 0.
+
+    The refinement runs over groups of states with equal rows, not over
+    states; the sink is a group of its own. Lemma: this gives the same
+    classes. Proof: states with equal rows have equal successor multisets
+    under every partition, so a refinement that starts from one class
+    never separates them, and refining the groups, each weighted by its
+    row's successor multiset, makes the same splits round by round. The
+    sink stays apart because it is the only rejecting state; a live state
+    whose row is all sink is an accepting dead end, and keyed by its row
+    it would merge with the sink. A group is reached from START's group
+    exactly when it holds a reachable state: a reachable state's row is
+    its group's row. So the class count d is the one of the state-by-state
+    refinement (`oracle.state_lumping`, the slow twin).
     """
     k = len(aut.alphabet)
     trans = aut.transition
-    index = {START: 0}
-    live = [START]
-    for s in live:
-        for t in trans[s * k : (s + 1) * k]:
-            if t != SINK and t not in index:
-                index[t] = len(live)
-                live.append(t)
-    succ = [[index[t] for t in trans[s * k : (s + 1) * k] if t != SINK] for s in live]
+    group = [0] * aut.n_states  # group 0 holds the sink alone
+    first = [SINK]  # the first state of each group
+    by_row: dict[bytes, int] = {}
+    for s in range(aut.n_states):
+        if s != SINK:
+            g = group[s] = by_row.setdefault(trans[s * k : (s + 1) * k].tobytes(), len(first))
+            if g == len(first):
+                first.append(s)
+    index = {group[START]: 0}
+    live = [group[START]]
+    succ = []
+    for g in live:
+        s = first[g]
+        out = Counter(map(group.__getitem__, trans[s * k : (s + 1) * k]))
+        out.pop(0, None)  # moves to the sink are not counted
+        for h in out:
+            if h not in index:
+                index[h] = len(live)
+                live.append(h)
+        succ.append([(index[h], mult) for h, mult in out.items()])
+
+    def successor_classes(out: list[tuple[int, int]], cls: list[int]) -> tuple:
+        into: Counter = Counter()
+        for j, mult in out:
+            into[cls[j]] += mult
+        return tuple(sorted(into.items()))
+
     cls = [0] * len(live)
     n_cls = 1
     while True:
         keys: dict[tuple, int] = {}
         new = [
-            keys.setdefault((cls[i], tuple(sorted(cls[t] for t in out))), len(keys))
+            keys.setdefault((cls[i], successor_classes(out, cls)), len(keys))
             for i, out in enumerate(succ)
         ]
         if len(keys) == n_cls:
             break
         cls, n_cls = new, len(keys)
-    return [list(Counter(cls[t] for t in succ[cls.index(c)]).items()) for c in range(n_cls)]
+    return [list(successor_classes(succ[cls.index(c)], cls)) for c in range(n_cls)]
 
 
 def _count(rows: list[list[tuple[int, int]]], n_max: int) -> list[int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import weakref
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -758,6 +759,42 @@ def dense_transfer_counts(aut: CosetAutomaton, n_max: int) -> list[int]:
         out.append(sum(vec[s] for s in range(n) if aut.accepted(s)))
         vec = [sum(vec[s] * m[s][t] for s in range(n) if vec[s]) for t in range(n)]
     return out
+
+
+# -- growth: state-by-state twin of the lumping ----------------------------------
+
+
+def state_lumping(aut: CosetAutomaton) -> list[list[tuple[int, int]]]:
+    """The coarsest ordinary lumping of the live states, refined state by state.
+
+    The slow twin of `growth._lumped_rows`, which refines over groups of
+    equal rows: here every live state (reachable from START, not the sink)
+    is its own entry, and each round sorts the classes of all its live
+    successors, one per letter. Same row format: row c lists (target
+    class, number of letters), START in class 0.
+    """
+    k = len(aut.alphabet)
+    trans = aut.transition
+    index = {START: 0}
+    live = [START]
+    for s in live:
+        for t in trans[s * k : (s + 1) * k]:
+            if t != SINK and t not in index:
+                index[t] = len(live)
+                live.append(t)
+    succ = [[index[t] for t in trans[s * k : (s + 1) * k] if t != SINK] for s in live]
+    cls = [0] * len(live)
+    n_cls = 1
+    while True:
+        keys: dict[tuple, int] = {}
+        new = [
+            keys.setdefault((cls[i], tuple(sorted(cls[t] for t in out))), len(keys))
+            for i, out in enumerate(succ)
+        ]
+        if len(keys) == n_cls:
+            break
+        cls, n_cls = new, len(keys)
+    return [list(Counter(cls[t] for t in succ[cls.index(c)]).items()) for c in range(n_cls)]
 
 
 # -- growth: Cayley-Hamilton twin of the rational series -------------------------

@@ -1,6 +1,8 @@
 """Acceptor construction, language enumeration and the word bijection."""
 
 import gc
+import hashlib
+import random
 import weakref
 
 import pytest
@@ -18,7 +20,7 @@ from garside.cosets import is_hn_reduced
 from garside.errors import DomainError
 from garside.oracle import enumerate_accepted
 from garside.parabolic import make_parabolic
-from garside.structures import build_braid, build_free_abelian
+from garside.structures import build_braid, build_free_abelian, table_from_descriptor
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +168,54 @@ def test_acceptor_cache_does_not_keep_its_table_alive():
     del t
     gc.collect()
     assert ref() is None
+
+
+# SHA-256 of the `automaton --table` and `--dot` texts: the output must stay byte-stable.
+EXPORT_PINS = [
+    (
+        "braid:4", "aba",
+        "8daf07f6f66dfbde4617c80fde9824130c5f60a91ffa26b85a0aa94aa0554182",
+        "78f6220fc4d484368ed399f17c1d6eccde47818b41e04ca4485fe1dd1038a093",
+    ),
+    (
+        "braid:5", "a",
+        "994ae20447edc6fbcd37daf6a48aad3bc52df8696538d2cc4a665ea359f95c0d",
+        "2201af4a086811920c34c679b0fa9440ca3e9d0ace63b9e9bc98435b7939ec1a",
+    ),
+    (
+        "dihedral:50", "s",
+        "60ef820b06ac2dc594a61a4f82680d5fe8659d747402a2205ede869e26079015",
+        "11a4ac7b414dcdcc302b3f1a80bed9895d902b8297fd07e8847f57c330167940",
+    ),
+]
+
+
+def automaton_of(descriptor, name):
+    t = table_from_descriptor(descriptor)
+    return build_automaton(t, make_parabolic(t, t.simples.index(name)))
+
+
+@pytest.mark.parametrize("descriptor, name, table_digest, dot_digest", EXPORT_PINS)
+def test_exports_pinned(descriptor, name, table_digest, dot_digest):
+    aut = automaton_of(descriptor, name)
+    assert hashlib.sha256(transition_table_text(aut).encode()).hexdigest() == table_digest
+    assert hashlib.sha256(dot_text(aut).encode()).hexdigest() == dot_digest
+
+
+def test_state_ids_fit_in_16_bits():
+    # At most MAX_SIMPLES simples, so at most 2 + 2 * (MAX_SIMPLES - 1) states.
+    assert 2 + 2 * (K.MAX_SIMPLES - 1) < 2**16
+
+
+def test_braid6_table_reads_wide_state_ids():
+    # braid:6/a has 1440 states, so most ids need more than one byte.
+    aut = automaton_of("braid:6", "a")
+    assert aut.transition.typecode == "H"
+    assert max(aut.transition) > 255
+    rng = random.Random(29)
+    for _ in range(3000):
+        i = rng.randrange(len(aut.alphabet))
+        j = rng.randrange(len(aut.alphabet))
+        prev, nxt = aut.alphabet[i], aut.alphabet[j]
+        want = 2 + j if K.may_follow(aut.table, prev, nxt) else SINK
+        assert aut.step(2 + i, nxt) == want

@@ -1,5 +1,7 @@
 """Transfer counts and the exact rational generating function."""
 
+from array import array
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from garside.errors import StructureError
 from garside.growth import (
     RationalSeries,
     _berlekamp_massey,
+    _count,
     _lumped_rows,
     format_poly,
     poly_trim,
@@ -197,7 +200,7 @@ def acceptor(k, transition):
         table=None,
         parabolic=None,
         alphabet=alphabet,
-        transition=list(transition),
+        transition=array("H", transition),
         letter_index={letter: j for j, letter in enumerate(alphabet)},
     )
 
@@ -241,6 +244,36 @@ def test_lumped_counts_match_dense_twin_on_random_tables(aut):
     dense = O.dense_transfer_counts(aut, 30)
     assert transfer_counts(aut, 30) == dense
     assert rational_series(aut).expand(30) == dense
+
+
+def start_row_is_a_letter_row():
+    # START and state 2 share the row [2, 3]; state 3 is a dead end.
+    return acceptor(2, [2, 3, SINK, SINK, 2, 3, SINK, SINK])
+
+
+def unreachable_twin_of_a_live_state():
+    # State 3 has live state 2's row [2, sink, sink], but nothing reaches it;
+    # nor state 4, whose own row would make a class of its own.
+    return acceptor(3, [2, 2, SINK] + [SINK] * 3 + [2, SINK, SINK] * 2 + [4] * 3)
+
+
+def chain_with_equal_rows():
+    # START -> 2 -> 3 -> 3 -> ...: the live states 2 and 3 share the row [3, sink].
+    return acceptor(2, [2, SINK, SINK, SINK, 3, SINK, 3, SINK])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_acceptors())
+@example(delay_chain())
+@example(start_row_is_a_letter_row())
+@example(unreachable_twin_of_a_live_state())
+@example(chain_with_equal_rows())
+def test_row_lumping_matches_state_lumping(aut):
+    # The refinement over distinct rows against its state-by-state twin.
+    rows, twin = _lumped_rows(aut), O.state_lumping(aut)
+    assert len(rows) == len(twin)
+    dense = O.dense_transfer_counts(aut, 30)
+    assert _count(rows, 30) == _count(twin, 30) == dense
 
 
 def coprime(p, q) -> bool:
