@@ -5,11 +5,26 @@ simples. It has one state per letter plus a start state and an absorbing
 sink; every state except the sink accepts. The transitions encode the local
 greedy conditions together with the initial reducedness tests, so the
 accepted language maps bijectively onto the transversal, letter count equal
-to element length. Letters are actual simples, so every transition predicate
-is a table lookup and the whole machine is a dense 16-bit array, built
-eagerly and cached on the table, one per parabolic. A table has at most
-`kernel.MAX_SIMPLES` = 1024 simples, so an acceptor has at most
-2 + 2 * 1023 = 2048 states, and every state id fits in 16 bits.
+to element length.
+
+The row of a letter state is `kernel.may_follow` read off the meet table,
+half a row at a time, since each of its three cases is a meet row:
+  after (u, +1), a letter (v, +1) follows iff meet_l(sigma(u), v) = 1, the
+  meet row of sigma(u), and no letter (v, -1) follows;
+  after (u, -1), a letter (v, +1) follows iff meet_l(u, v) = 1, the meet
+  row of u;
+  after (u, -1), a letter (v, -1) follows iff meet_l(sigma(v), u) = 1, that
+  is meet_l(u, sigma(v)) = 1 as the meet is symmetric (the table constructor
+  fills both triangles): the meet row of u read at sigma(v).
+So the positive half is the meet row of one simple w, built once per w and
+shared by (sigma^-1(w), +1) and (w, -1). As sigma(D) = 1, w runs over the
+unit too, whose meet row is all units: every positive letter follows D. The
+negative half is built once per u.
+
+The whole machine is a dense 16-bit array, built eagerly and cached on the
+table, one per parabolic. A table has at most `kernel.MAX_SIMPLES` = 1024
+simples, so an acceptor has at most 2 + 2 * 1023 = 2048 states, and every
+state id fits in 16 bits.
 """
 
 from __future__ import annotations
@@ -19,7 +34,7 @@ from array import array
 from typing import Iterable
 
 from .errors import DomainError, StructureError
-from .kernel import GarsideTable, SignedLetter, format_letter, may_follow
+from .kernel import GarsideTable, SignedLetter, format_letter
 from .parabolic import ParabolicData
 
 START = 0
@@ -70,7 +85,8 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
     """Populate the transition table.
 
     The start row holds the initial reducedness tests, and the row of each
-    letter state is `kernel.may_follow`, the rule the ball walk reads too.
+    letter state is `kernel.may_follow`, the rule the ball walk reads too,
+    read off the meet table by halves (see the module docstring).
     """
     if p.table is not table:
         raise StructureError("parabolic data belongs to a different table")
@@ -99,11 +115,27 @@ def build_automaton(table: GarsideTable, p: ParabolicData) -> CosetAutomaton:
     for j, letter in enumerate(alphabet):
         if admit_initial(letter):
             transition[START * n_letters + j] = 2 + j
-    for i, prev in enumerate(alphabet):
+    # positive[w] admits the positive letters v with meet_l(w, v) = 1; w runs
+    # over every simple, the unit too, as sigma(D) = 1.
+    positive = [
+        array("H", [2 + j if row[v] == unit else SINK for j, v in enumerate(simples)])
+        for row in map(table.meet_row, range(table.n_simples))
+    ]
+    # Rows are written in place, so the fill never holds a second copy of the
+    # table; a (u, +1) row keeps its negative half of sinks.
+    m = len(simples)
+    for i, u in enumerate(simples):
         base = (2 + i) * n_letters
-        for j, nxt in enumerate(alphabet):
-            if may_follow(table, prev, nxt):
-                transition[base + j] = 2 + j
+        transition[base : base + m] = positive[table.sigma(u)]
+    # After (u, -1), the negative letter v is read off u's meet row at sigma(v).
+    negative = [(2 + m + j, table.sigma(v)) for j, v in enumerate(simples)]
+    for i, u in enumerate(simples, start=m):
+        base = (2 + i) * n_letters
+        row = table.meet_row(u)
+        transition[base : base + m] = positive[u]
+        transition[base + m : base + n_letters] = array(
+            "H", [t if row[sv] == unit else SINK for t, sv in negative]
+        )
 
     aut = CosetAutomaton(
         table=table,

@@ -235,6 +235,11 @@ class GarsideTable:
     def meet_l(self, u: int, v: int) -> int:
         return self._meet_l[u * len(self.simples) + v]
 
+    def meet_row(self, u: int) -> list[int]:
+        """meet_l(u, v) for every simple v, indexed by v."""
+        n = len(self.simples)
+        return self._meet_l[u * n : (u + 1) * n]
+
     def left_divides(self, u: int, w: int) -> bool:
         """u <=_L w, both simple."""
         return self._meet_l[u * len(self.simples) + w] == u

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import weakref
+from array import array
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,8 +29,8 @@ from .budget import Budget, ensure_budget
 from .errors import DomainError, StructureError
 from .cosets import ProjectionSet, coset_representative, is_hn_reduced, projection
 from .kernel import (
-    Element, GarsideTable, SignedLetter, greedy_letters, identity, invert, multiply,
-    signed_generators, simple,
+    Element, GarsideTable, SignedLetter, greedy_letters, identity, invert, may_follow,
+    multiply, signed_generators, simple,
 )
 from .parabolic import ParabolicData
 from .structures import BRAID_ATOM_LETTERS, MAX_VIOLATIONS
@@ -735,6 +736,38 @@ def enumerate_accepted(aut: CosetAutomaton, n: int) -> list[tuple[SignedLetter, 
 
     walk(START, n)
     return out
+
+
+# -- acceptor: slot-by-slot twin of the row fill --------------------------------
+
+
+def acceptor_transitions(table: GarsideTable, p: ParabolicData) -> array:
+    """The acceptor's transition table, one `may_follow` call per slot.
+
+    The slow twin of `automaton.build_automaton`, which reads whole rows off
+    the meet table: same alphabet, layout and 16-bit state ids, the start row
+    by the initial reducedness tests.
+    """
+    unit = table.unit
+    simples = [s for s in range(table.n_simples) if s != unit]
+    alphabet = [(s, 1) for s in simples] + [(s, -1) for s in simples]
+    k = len(alphabet)
+    transition = array("H", [SINK]) * ((2 + k) * k)
+    for j, (v, sign) in enumerate(alphabet):
+        if sign == 1:
+            admitted = table.meet_l(v, p.delta_sub) == unit
+        else:
+            sv = table.sigma(v)
+            admitted = table.meet_l(sv, p.delta_sub) == unit and not table.left_divides(
+                p.omega, sv
+            )
+        if admitted:
+            transition[START * k + j] = 2 + j
+    for i, prev in enumerate(alphabet):
+        for j, nxt in enumerate(alphabet):
+            if may_follow(table, prev, nxt):
+                transition[(2 + i) * k + j] = 2 + j
+    return transition
 
 
 # -- growth: dense twin of the transfer counts -----------------------------------

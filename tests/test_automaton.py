@@ -3,7 +3,9 @@
 import gc
 import hashlib
 import random
+import sys
 import weakref
+from array import array
 
 import pytest
 
@@ -21,6 +23,8 @@ from garside.errors import DomainError
 from garside.oracle import enumerate_accepted
 from garside.parabolic import make_parabolic
 from garside.structures import build_braid, build_free_abelian, table_from_descriptor
+
+from conftest import all_parabolics, any_table
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +204,35 @@ def test_exports_pinned(descriptor, name, table_digest, dot_digest):
     aut = automaton_of(descriptor, name)
     assert hashlib.sha256(transition_table_text(aut).encode()).hexdigest() == table_digest
     assert hashlib.sha256(dot_text(aut).encode()).hexdigest() == dot_digest
+
+
+# SHA-256 of the transition table's bytes, little-endian, on the largest
+# tables: abelian:10/x1 has 2048 states and so reaches the top id, 2047.
+TRANSITION_PINS = [
+    ("braid:6", "a", "41cd1b40eeccb9539ff4dd9b6dea0141f45806013edc4a7e75c7fe1aa6d5c0f5"),
+    ("abelian:10", "x1", "efb177452ee1e29ea3cd3787b3e80b2654e5d3bc7b2a10c7744c9004a3810b65"),
+]
+
+
+@pytest.mark.parametrize("descriptor, name, digest", TRANSITION_PINS)
+def test_transition_bytes_pinned(descriptor, name, digest):
+    transition = array("H", automaton_of(descriptor, name).transition)
+    if sys.byteorder == "big":
+        transition.byteswap()
+    assert hashlib.sha256(transition.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [f"braid:{n}" for n in range(3, 6)]
+    + [f"dihedral:{m}" for m in range(3, 9)]
+    + [f"abelian:{n}" for n in range(1, 5)]
+    + ["cyclic:3", "cyclic:5", "cyclic:7"],
+)
+def test_row_fill_equals_slot_by_slot_twin(descriptor):
+    table = any_table(descriptor)
+    for p in all_parabolics(table):
+        assert build_automaton(table, p).transition == O.acceptor_transitions(table, p)
 
 
 def test_state_ids_fit_in_16_bits():
