@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 from array import array
-from typing import Iterable
 
 from .errors import DomainError, StructureError
 from .kernel import GarsideTable, SignedLetter, format_letter
@@ -63,15 +62,6 @@ class CosetAutomaton:
         if idx is None:
             raise DomainError(f"unknown letter {letter!r}")
         return self.transition[state * len(self.alphabet) + idx]
-
-    def run(self, word: Iterable[SignedLetter]) -> int:
-        state = START
-        for letter in word:
-            state = self.step(state, letter)
-        return state
-
-    def accepts(self, word: Iterable[SignedLetter]) -> bool:
-        return self.accepted(self.run(word))
 
     def state_name(self, state: int) -> str:
         if state == START:

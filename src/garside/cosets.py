@@ -39,7 +39,6 @@ from .kernel import (
 from .parabolic import (
     ParabolicData,
     d_k,
-    element_in_subgroup,
     is_n_reduced,
     tail_split,
 )
@@ -407,8 +406,9 @@ def bounded_projection_witness(
     Uses d = w_1 ... w_(K+1), whose projection holds 1 and delta_sub^-(K+1),
     which are K+1 > K apart. Membership is proj(x) = {h in H : lg(h^-1 x) =
     lg(Hx)} (h^-1 x runs over Hx as h runs over H), so nothing is searched
-    and `budget` is never charged. The improper parabolic is refused: its
-    complement is trivial, so every d_k is the identity.
+    and `budget` is never charged. 1 and delta_sub^-(K+1) lie in H by
+    construction, so only the length condition is tested. The improper
+    parabolic is refused: its complement is trivial, so d_k is the identity.
     """
     if p.improper:
         raise DomainError(
@@ -421,7 +421,7 @@ def bounded_projection_witness(
     level = coset_length(d, p)
     delta_neg = p.delta_element() ** (-k)
     has_one, has_delta_neg = (
-        element_in_subgroup(y, p) and multiply(invert(y), d).length() == level
+        multiply(invert(y), d).length() == level
         for y in (identity(p.table), delta_neg)
     )
     cert = UnboundedProjectionCertificate(

@@ -695,6 +695,14 @@ def min_set(x: Element, p: ParabolicData, budget: Budget | None = None) -> list[
     return sorted((multiply(invert(m), x) for m in members), key=Element.sort_key)
 
 
+def accepts(aut: CosetAutomaton, word: Iterable[SignedLetter]) -> bool:
+    """Whether the acceptor reads `word` from its start state to an accepting one."""
+    state = START
+    for letter in word:
+        state = aut.step(state, letter)
+    return aut.accepted(state)
+
+
 def element_to_word(aut: CosetAutomaton, theta: Element) -> tuple[SignedLetter, ...]:
     """The accepted word spelling a transversal element.
 
@@ -705,7 +713,7 @@ def element_to_word(aut: CosetAutomaton, theta: Element) -> tuple[SignedLetter, 
     if not is_hn_reduced(theta, aut.parabolic):
         raise DomainError("element is not a reduced coset representative")
     word = greedy_letters(theta)
-    if not aut.accepts(word):
+    if not accepts(aut, word):
         raise StructureError("normal form word rejected by the automaton")
     return word
 

@@ -314,62 +314,52 @@ def tables_isomorphic(t1: GarsideTable, t2: GarsideTable) -> bool:
     """Whether a bijection of the simples fixing 1 and D preserves the product.
 
     Nothing else needs comparing: a Garside structure is fixed by the
-    product of its simples (Dehornoy et al., Foundations of Garside Theory,
-    ch. VI), so such a bijection also carries meets, sigma and phi over.
-    It preserves the longest-chain grade too, which `GarsideTable` reads
-    off the product and which is finite on every table the constructor
-    accepts (it refuses a product with a cycle), so each simple is matched
-    only with simples of its grade. The search maps simples in grade order
-    and prunes on whether products are defined; a complete map counts only
-    when all n^2 products agree, so a True answer is a checked isomorphism.
+    product of its simples, and generated by its atoms (Dehornoy et al.,
+    Foundations of Garside Theory, ch. VI). Theorem: such a bijection
+    exists iff, for some bijection of the atoms, the map it forces below
+    carries all n^2 products over; so at most r! maps are tried for r
+    atoms, and D and bijectivity need no check. The proof uses only what
+    the constructor checks (left cancellation, u\\D for every u, a
+    settled grade: grade[u*v] >= grade[u] + grade[v] for u, v != 1), so it
+    holds on unvalidated tables too.
+    (1) An isomorphism maps atoms to atoms. The atoms, the simples with no
+    left divisor but 1 and themselves, are by left cancellation those that
+    are not a product of two non-units.
+    (2) Any other non-unit w is u*v with u, v != 1 (one such split is kept
+    per w), so grade[w] > grade[u], grade[v], and m(w) = m(u)*m(v) is
+    forced in grade order; an undefined product ends the attempt.
+    (3) If all products agree, the image of m holds 1 and t2's atoms and
+    is closed under t2's defined products, so by (2) in t2 it is onto.
+    (4) D is the only simple that every simple left-divides: for another
+    such w, D*v = w and w*v' = D with v, v' != 1 give grade[w] > grade[D] >
+    grade[w]. A bijection that preserves the product preserves
+    divisibility, so m(D) = D.
     """
     n = t1.n_simples
-    if n != t2.n_simples:
+    if n != t2.n_simples or len(t1.atoms) != len(t2.atoms):
         return False
-    if sorted(t1.grade) != sorted(t2.grade):
-        return False
-
-    order = sorted(range(n), key=lambda u: (t1.grade[u], t1.simples[u]))
-    candidates = [
-        [v for v in range(n) if t2.grade[v] == t1.grade[u]] for u in range(n)
-    ]
-
     p1, p2 = t1._product, t2._product
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(u: int, v: int) -> bool:
-        if (u == t1.unit) != (v == t2.unit) or (u == t1.delta) != (v == t2.delta):
-            return False
-        for x in range(n):
-            y = mapping[x]
-            if y >= 0 and (
-                (p1[u * n + x] < 0) != (p2[v * n + y] < 0)
-                or (p1[x * n + u] < 0) != (p2[y * n + v] < 0)
-            ):
-                return False
-        return True
-
-    def is_isomorphism() -> bool:
-        image = [p2[mapping[a] * n + mapping[b]] for a in range(n) for b in range(n)]
-        return image == [-1 if w < 0 else mapping[w] for w in p1]
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return is_isomorphism()
-        u = order[pos]
-        for v in candidates[u]:
-            if used[v] or not consistent(u, v):
-                continue
-            mapping[u] = v
-            used[v] = True
-            if extend(pos + 1):
+    split: dict[int, tuple[int, int]] = {}
+    for k, w in enumerate(p1):  # slot k = u*n + v holds u*v
+        if w >= 0:
+            u, v = divmod(k, n)
+            if t1.unit not in (u, v):
+                split.setdefault(w, (u, v))
+    steps = sorted(split.items(), key=lambda item: t1.grade[item[0]])
+    for images in itertools.permutations(t2.atoms):
+        m = [-1] * n
+        m[t1.unit] = t2.unit
+        for a, b in zip(t1.atoms, images):
+            m[a] = b
+        for w, (u, v) in steps:
+            m[w] = p2[m[u] * n + m[v]]
+            if m[w] < 0:
+                break
+        else:
+            image = [p2[m[a] * n + m[b]] for a in range(n) for b in range(n)]
+            if image == [-1 if w < 0 else m[w] for w in p1]:
                 return True
-            mapping[u] = -1
-            used[v] = False
-        return False
-
-    return extend(0)
+    return False
 
 
 # -- structure descriptor strings --------------------------------------------

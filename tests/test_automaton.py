@@ -71,15 +71,15 @@ def test_negative_after_positive_is_sink(aut, b3):
 
 
 def test_accepts_examples(aut, b3):
-    assert aut.accepts([])
-    assert aut.accepts([(b3.b, 1)])
-    assert not aut.accepts([(b3.a, 1)])
-    assert not aut.accepts([(b3.ba, -1), (b3.b, 1)])
+    assert O.accepts(aut, [])
+    assert O.accepts(aut, [(b3.b, 1)])
+    assert not O.accepts(aut, [(b3.a, 1)])
+    assert not O.accepts(aut, [(b3.ba, -1), (b3.b, 1)])
 
 
 def test_accepts_unknown_letter(aut, b3):
     with pytest.raises(DomainError):
-        aut.accepts([(b3.one, 1)])
+        O.accepts(aut, [(b3.one, 1)])
 
 
 def test_enumerate_level_zero(aut):

@@ -517,6 +517,14 @@ def test_isomorphism_agrees_with_brute_force():
     assert answers.count(True) >= 20 and answers.count(False) >= 200
 
 
+def test_isomorphism_on_the_largest_builtin():
+    # abelian:10 has 1024 simples, more than the default recursion limit,
+    # so the search must not take a stack frame per simple.
+    t = build_free_abelian(10)
+    reload = load_table(_shuffled(random.Random(20261022), save_table(t)))
+    assert tables_isomorphic(t, reload)
+
+
 def test_parse_errors():
     with pytest.raises(StructureError):
         parse_structure_text("simples: 1 a\n")  # no delta
